@@ -60,14 +60,20 @@ class MimoTransferFunction:
     def parameters(self):
         return [("b", self.b), ("a", self.a)]
 
+    def _forward(self, x):
+        """Cells, per-cell outputs and the (batch, T, out_channels) output for x."""
+        cells = [[self.cell(o, i) for i in range(self.in_channels)]
+                 for o in range(self.out_channels)]
+        cell_y = [[filter_rows(c, x[:, :, i]) for i, c in enumerate(row)] for row in cells]
+        y = np.zeros((x.shape[0], x.shape[1], self.out_channels))
+        for o, row in enumerate(cell_y):
+            for y_oi in row:
+                y[:, :, o] += y_oi
+        return cells, cell_y, y
+
     def simulate(self, x):
         """Plain forward on a (batch, T, in_channels) array."""
-        batch, T, _ = x.shape
-        y = np.zeros((batch, T, self.out_channels))
-        for o in range(self.out_channels):
-            for i in range(self.in_channels):
-                y[:, :, o] += filter_rows(self.cell(o, i), x[:, :, i])
-        return y
+        return self._forward(x)[2]
 
     def apply(self, tape, x_node):
         """Record one MIMO node; backward splits into per-cell SISO gradients."""
@@ -78,18 +84,7 @@ class MimoTransferFunction:
             raise ValueError(
                 f"width mismatch: block expects {self.in_channels} channels, got {x.shape[2]}"
             )
-        cells = [
-            [self.cell(o, i) for i in range(self.in_channels)]
-            for o in range(self.out_channels)
-        ]
-        cell_y = [
-            [filter_rows(cells[o][i], x[:, :, i]) for i in range(self.in_channels)]
-            for o in range(self.out_channels)
-        ]
-        y = np.zeros((x.shape[0], x.shape[1], self.out_channels))
-        for o in range(self.out_channels):
-            for i in range(self.in_channels):
-                y[:, :, o] += cell_y[o][i]
+        cells, cell_y, y = self._forward(x)
 
         def vjp(g):
             b_bar = np.zeros_like(self.b.value) if b_node.requires_grad else None
@@ -131,6 +126,90 @@ class MimoTransferFunction:
         )
 
 
+def _feature_major(a, G, K):
+    """(batch, T, G*K) series as a contiguous (G, K, batch*T) array."""
+    return np.ascontiguousarray(a.reshape(-1, G * K).T).reshape(G, K, -1)
+
+
+def _time_major(a, batch, T):
+    """(G, K, batch*T) array as a contiguous (batch, T, G*K) series."""
+    # stacking rows writes along time; a plain transposed copy loops over K innermost
+    return np.stack(tuple(a.reshape(-1, batch * T)), axis=1).reshape(batch, T, -1)
+
+
+def _stack(nets):
+    """Weights of independent nets stacked on a leading net axis."""
+    columns = zip(*([p.value for _, p in net.parameters()] for net in nets))
+    return tuple(np.stack(values) for values in columns)
+
+
+def static_nets_forward(w1, b1, w2, b2, x):
+    """G independent tanh nets y = W2 tanh(W1 x + b1) + b2 on a (batch, T, G*I) series.
+
+    Net k reads input channels [k*I, (k+1)*I) and writes output channels
+    [k*O, (k+1)*O). Weights are stacked per net: w1 (G, H, I), b1 (G, H),
+    w2 (G, O, H), b2 (G, O). Returns the (batch, T, G*O) output, the input as
+    (G, I, N) and the hidden activations as one contiguous (G, H, N) array,
+    N = batch*T, so that per-unit broadcasts and reductions run along rows.
+    """
+    G, H, I = w1.shape
+    xT = _feature_major(x, G, I)
+    # a width-1 product is written as a broadcast: matmul over a length-1 axis is slow
+    hid = w1 * xT if I == 1 else np.matmul(w1, xT)
+    hid += b1[:, :, np.newaxis]
+    np.tanh(hid, out=hid)
+    yT = np.matmul(w2, hid)
+    yT += b2[:, :, np.newaxis]
+    return _time_major(yT, x.shape[0], x.shape[1]), xT, hid
+
+
+def static_nets_vjp(w1, w2, xT, hid, g, need_x=True):
+    """Stacked adjoints (w1, b1, w2, b2, x) of static_nets_forward for the output adjoint g.
+
+    Consumes hid: it is overwritten with damp = 1 - hid^2, so the vjp
+    allocates nothing the size of the hidden array. The pre-activation
+    adjoint z = damp * W2^T g is never formed either: every reduction of z is
+    written as one of damp against rows of length N.
+    """
+    G, H, I = w1.shape
+    O = w2.shape[1]
+    batch, T, _ = g.shape
+    gT = _feature_major(g, G, O)
+    w2_bar = np.matmul(gT, hid.transpose(0, 2, 1))
+    damp = np.multiply(hid, hid, out=hid)
+    np.subtract(1.0, damp, out=damp)
+    gx = (gT[:, :, np.newaxis] * xT[:, np.newaxis]).reshape(G, O * I, -1)
+    b1_bar = np.einsum("goh,gho->gh", w2, np.matmul(damp, gT.transpose(0, 2, 1)))
+    m = np.matmul(damp, gx.transpose(0, 2, 1)).reshape(G, H, O, I)
+    w1_bar = np.einsum("goh,ghoi->ghi", w2, m)
+    x_bar = None
+    if need_x:
+        w2w1 = (w2[:, :, np.newaxis, :] * w1.transpose(0, 2, 1)[:, np.newaxis]).reshape(G, -1, H)
+        x_bar = np.empty((batch, T, G * I))
+        x_barT = x_bar.reshape(-1, G * I).T.reshape(G, I, -1)  # a view: written in place
+        np.einsum("gon,goin->gin", gT, np.matmul(w2w1, damp).reshape(G, O, I, -1), out=x_barT)
+    return w1_bar, b1_bar, w2_bar, gT.sum(axis=2), x_bar
+
+
+def _apply_static_nets(tape, nets, x_node):
+    """Record independent nets as one `mlp` node; the vjp splits the stacked
+    adjoints back onto each net's Parameters."""
+    width = sum(net.in_channels for net in nets)
+    if x_node.value.shape[2] != width:
+        raise ValueError(
+            f"width mismatch: static block expects {width} channels, got {x_node.value.shape[2]}"
+        )
+    leaves = [tape.leaf(p) for net in nets for _, p in net.parameters()]
+    w1, b1, w2, b2 = _stack(nets)
+    y, xT, hid = static_nets_forward(w1, b1, w2, b2, x_node.value)
+
+    def vjp(g):
+        *bars, x_bar = static_nets_vjp(w1, w2, xT, hid, g, x_node.requires_grad)
+        return (*(bar[k] for k in range(len(nets)) for bar in bars), x_bar)
+
+    return tape.custom(y, (*leaves, x_node), vjp, op="mlp")
+
+
 class Mlp:
     """Static one-hidden-layer tanh network: y_t = W2 tanh(W1 x_t + c1) + c2."""
 
@@ -157,19 +236,10 @@ class Mlp:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
     def simulate(self, x):
-        batch, T, width = x.shape
-        x2 = x.reshape(batch * T, width)
-        pre = x2 * self.w1.value[:, 0] if width == 1 else x2 @ self.w1.value.T
-        h2 = np.tanh(pre + self.b1.value)
-        return (h2 @ self.w2.value.T + self.b2.value).reshape(batch, T, -1)
+        return static_nets_forward(*_stack([self]), x)[0]
 
     def apply(self, tape, x_node):
-        if x_node.value.shape[2] != self.in_channels:
-            raise ValueError(
-                f"width mismatch: net expects {self.in_channels} channels, "
-                f"got {x_node.value.shape[2]}"
-            )
-        return tape.mlp(self.w1, self.b1, self.w2, self.b2, x_node)
+        return _apply_static_nets(tape, [self], x_node)
 
     def to_config(self):
         return {
@@ -201,6 +271,8 @@ class ParallelMlp:
         for net in self.nets:
             if net.in_channels != 1 or net.out_channels != 1:
                 raise ValueError("parallel nets must be one-input-one-output")
+        if len({net.hidden for net in self.nets}) > 1:
+            raise ValueError("parallel nets must share one hidden width")
         self.in_channels = len(self.nets)
         self.out_channels = len(self.nets)
 
@@ -211,16 +283,10 @@ class ParallelMlp:
         return out
 
     def simulate(self, x):
-        cols = [net.simulate(x[:, :, k : k + 1]) for k, net in enumerate(self.nets)]
-        return np.concatenate(cols, axis=2)
+        return static_nets_forward(*_stack(self.nets), x)[0]
 
     def apply(self, tape, x_node):
-        if x_node.value.shape[2] != self.in_channels:
-            raise ValueError("width mismatch in parallel static block")
-        outs = [
-            net.apply(tape, tape.channel(x_node, k)) for k, net in enumerate(self.nets)
-        ]
-        return tape.concat_channels(outs)
+        return _apply_static_nets(tape, self.nets, x_node)
 
     def to_config(self):
         return {"kind": self.kind, "nets": [net.to_config() for net in self.nets]}

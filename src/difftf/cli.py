@@ -3,7 +3,7 @@
 Every subcommand takes long-form flags, optionally seeded from a JSON config
 file (--config); explicit flags override config values, and unknown config
 keys are rejected before any work happens. Exit codes: 0 success, 1 usage,
-2 numeric failure, 3 I/O.
+2 numeric failure, 3 I/O or bad data.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .optim import TrainConfig, TrainingDivergedError, train
 from .pem import PemModel, bode_magnitude_table, estimated_noise_filter
 from .quantized import Quantizer, quantized_loglik_node
 from .tape import Parameter, Tape
+from .tf_core import FilterDivergenceError
 
 
 class UsageError(Exception):
@@ -227,6 +228,10 @@ def cmd_train(cfg):
             raise UsageError("quantizer JSON must contain a thresholds array")
         qz = Quantizer(np.asarray(qdoc["thresholds"], dtype=float))
         z = out_col
+        bad = z[(z < 0) | (z >= qz.n_bins)]
+        if bad.size:
+            raise ValueError(f"{cfg['data']}: bin index {bad[0]} outside the quantizer's "
+                             f"{qz.n_bins} bins (0..{qz.n_bins - 1})")
         log_sigma = Parameter(np.log(cfg["init_sigma"]), "noise.log_sigma_e")
         named = model.parameters() + [("noise.log_sigma_e", log_sigma)]
     params = [p for _, p in named]
@@ -426,7 +431,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, FilterDivergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

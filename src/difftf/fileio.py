@@ -85,6 +85,9 @@ def read_dataset(path):
         kind, out = "z", cols["z"]
     else:
         raise ValueError(f"{path}: need a y or z column")
+    for name, values in (("u", cols["u"]), (kind, out)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: non-finite value in the {name} column")
     u = cols["u"]
     if "seq" in cols:
         seq = cols["seq"].astype(int)

@@ -123,6 +123,7 @@ def train(params, build_loss, config):
     walls = []
     best_loss = np.inf
     best_it = -1
+    last_gain = -1  # last improvement larger than plateau_rtol
     best_snap = _snapshot(params)
     last_snap = _snapshot(params)
     last_adam = adam.state()
@@ -152,8 +153,9 @@ def train(params, build_loss, config):
         if loss_value < best_loss:
             best_loss = loss_value
             best_snap = _snapshot(params)
-        if improved or best_it < 0:
             best_it = it
+        if improved or last_gain < 0:
+            last_gain = it
         last_snap = _snapshot(params)
         last_adam = adam.state()
 
@@ -165,7 +167,7 @@ def train(params, build_loss, config):
         if config.log_every and (it + 1) % config.log_every == 0:
             print(f"iter {it + 1}: loss {loss_value:.6g}")
         it += 1
-        if config.plateau_patience and it - best_it >= config.plateau_patience:
+        if config.plateau_patience and it - last_gain >= config.plateau_patience:
             stopped_on_plateau = True
             break
 

@@ -1,4 +1,4 @@
-"""Minimal reverse-mode tape for composing filters, static nets and arithmetic.
+"""Minimal reverse-mode tape for composing filters, arithmetic and custom nodes.
 
 Node values are either Python floats (scalar nodes) or float arrays of shape
 (batch, T, channels). The tape is rebuilt on every forward evaluation
@@ -110,6 +110,7 @@ class Tape:
     def __init__(self):
         self._nodes = []
         self._leaves = {}
+        self._swept = False
 
     def _record(self, node):
         self._nodes.append(node)
@@ -231,47 +232,7 @@ class Tape:
             )
         )
 
-    # ---- channel plumbing ---------------------------------------------
-
-    def channel(self, x, i):
-        """Select channel i as a single-channel value."""
-        x = self._wrap(x)
-        i = int(i)
-
-        def vjp(g):
-            out = np.zeros_like(x.value)
-            out[:, :, i : i + 1] = g
-            return (out,)
-
-        return self._record(
-            Node(
-                x.value[:, :, i : i + 1].copy(),
-                (x,),
-                op="channel",
-                requires_grad=x.requires_grad,
-                vjp=vjp,
-            )
-        )
-
-    def concat_channels(self, xs):
-        xs = [self._wrap(x) for x in xs]
-        widths = [x.value.shape[2] for x in xs]
-        offsets = np.concatenate([[0], np.cumsum(widths)])
-
-        def vjp(g):
-            return tuple(g[:, :, offsets[k] : offsets[k + 1]] for k in range(len(xs)))
-
-        return self._record(
-            Node(
-                np.concatenate([x.value for x in xs], axis=2),
-                tuple(xs),
-                op="concat",
-                requires_grad=any(x.requires_grad for x in xs),
-                vjp=vjp,
-            )
-        )
-
-    # ---- dynamical and static blocks -----------------------------------
+    # ---- filters and custom operations ---------------------------------
 
     def filter(self, b, a, n_k, u):
         """SISO filtering node; b and a may be Parameters or fixed arrays."""
@@ -308,49 +269,6 @@ class Tape:
             )
         )
 
-    def mlp(self, w1, b1, w2, b2, x):
-        """One-hidden-layer tanh network applied independently at each time step."""
-        w1n, b1n, w2n, b2n = (self._wrap_raw(v) for v in (w1, b1, w2, b2))
-        xn = self._wrap(x)
-        xv = xn.value
-        batch, T, width = xv.shape
-        # flatten time and batch; width-1 products are written as broadcasts
-        # because thin gemm calls stall badly in multithreaded BLAS
-        x2 = xv.reshape(batch * T, width)
-        h2 = x2 * w1n.value[:, 0] if width == 1 else x2 @ w1n.value.T
-        h2 += b1n.value
-        np.tanh(h2, out=h2)
-        y2 = h2 @ w2n.value.T
-        y2 += b2n.value
-        y = y2.reshape(batch, T, -1)
-
-        def vjp(g):
-            g2 = g.reshape(batch * T, -1)
-            z_bar = g2 * w2n.value[0] if g2.shape[1] == 1 else g2 @ w2n.value
-            damp = h2 * h2
-            np.subtract(1.0, damp, out=damp)
-            z_bar *= damp
-            w1_bar = z_bar.T @ x2 if w1n.requires_grad else None
-            b1_bar = z_bar.sum(axis=0) if b1n.requires_grad else None
-            w2_bar = g2.T @ h2 if w2n.requires_grad else None
-            b2_bar = g2.sum(axis=0) if b2n.requires_grad else None
-            x_bar = (
-                (z_bar @ w1n.value).reshape(batch, T, width)
-                if xn.requires_grad
-                else None
-            )
-            return (w1_bar, b1_bar, w2_bar, b2_bar, x_bar)
-
-        return self._record(
-            Node(
-                y,
-                (w1n, b1n, w2n, b2n, xn),
-                op="mlp",
-                requires_grad=any(n.requires_grad for n in (w1n, b1n, w2n, b2n, xn)),
-                vjp=vjp,
-            )
-        )
-
     def custom(self, value, parents, vjp, op="custom"):
         """Record an externally computed operation with its adjoint rule."""
         parents = tuple(self._wrap(p) for p in parents)
@@ -367,11 +285,17 @@ class Tape:
     # ---- reverse sweep --------------------------------------------------
 
     def backward(self, loss):
-        """Accumulate adjoints from a scalar loss node into Parameter.grad."""
+        """Accumulate adjoints from a scalar loss node into Parameter.grad.
+
+        A tape is swept once: a vjp may consume the activations it saved.
+        """
         if not isinstance(loss, Node) or all(loss is not n for n in self._nodes):
             raise ValueError("backward requires a loss node recorded on this tape")
         if not np.isscalar(loss.value):
             raise ValueError("loss must be a scalar node")
+        if self._swept:
+            raise ValueError("backward already ran on this tape; record a new one")
+        self._swept = True
         for node in self._nodes:
             node.adjoint = None
         loss.adjoint = 1.0

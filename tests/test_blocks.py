@@ -11,12 +11,23 @@ from difftf.blocks import (
     Normalization,
     ParallelMlp,
     PolyStatic,
+    _BLOCK_KINDS,
     build_pwh,
     build_wh,
+    static_nets_forward,
+    static_nets_vjp,
 )
 from difftf.gradcheck import central_difference, relative_errors
 from difftf.tape import Tape
 from difftf.tf_core import TransferFunction, filter_forward, random_stable_tf
+
+
+def build_wide_nets(n_b=2, n_a=2, hidden=3, rng=None):
+    """Static blocks wider than one channel: a 2-in 3-out net, then three parallel nets."""
+    return BlockModel([
+        Mlp(2, 4, 3, rng=rng),
+        ParallelMlp([Mlp(1, 3, 1, rng=rng) for _ in range(3)]),
+    ])
 
 
 class TestMimoForward:
@@ -109,6 +120,68 @@ class TestMlp:
             net.simulate(shifted), np.roll(net.simulate(x), 3, axis=1), rtol=1e-14
         )
 
+    def test_parallel_nets_are_one_node_with_per_net_gradients(self, rng):
+        nets = ParallelMlp([Mlp(1, 4, 1, rng=rng) for _ in range(3)])
+        x = rng.normal(0.0, 1.0, (2, 15, 3))
+        tape = Tape()
+        x_node = tape.input(x)
+        tape.backward(tape.total(tape.square(nets.apply(tape, x_node))))
+        assert [n.op for n in tape._nodes if n.op not in ("input", "param")] == [
+            "mlp", "square", "sum",
+        ]
+        grads = [p.grad.copy() for _, p in nets.parameters()]
+        for k, net in enumerate(nets.nets):
+            single = Tape()
+            xk = single.input(x[:, :, k : k + 1])
+            single.backward(single.total(single.square(net.apply(single, xk))))
+            assert np.allclose(
+                x_node.grad_value()[:, :, k : k + 1], xk.grad_value(), rtol=1e-13
+            )
+            for j, (_, p) in enumerate(net.parameters()):
+                assert np.allclose(grads[4 * k + j], p.grad, rtol=1e-13, atol=1e-14)
+
+    def test_static_net_kernel_matches_per_net_time_major_reference(self, rng):
+        G, H, I, O = 3, 4, 2, 2
+        w1, b1 = rng.normal(size=(G, H, I)), rng.normal(size=(G, H))
+        w2, b2 = rng.normal(size=(G, O, H)), rng.normal(size=(G, O))
+        x = rng.normal(0.0, 1.0, (2, 30, G * I))
+        g = rng.normal(0.0, 1.0, (2, 30, G * O))
+        y, xT, hid = static_nets_forward(w1, b1, w2, b2, x)
+        bars = static_nets_vjp(w1, w2, xT, hid, g)
+        for k in range(G):
+            xk = x[:, :, k * I : (k + 1) * I].reshape(-1, I)
+            gk = g[:, :, k * O : (k + 1) * O].reshape(-1, O)
+            h = np.tanh(xk @ w1[k].T + b1[k])
+            z = (gk @ w2[k]) * (1.0 - h * h)
+            assert np.allclose(y[:, :, k * O : (k + 1) * O].reshape(-1, O), h @ w2[k].T + b2[k],
+                               rtol=1e-12, atol=1e-14)
+            for got, want in zip([bar[k] for bar in bars[:4]],
+                                 (z.T @ xk, z.sum(axis=0), gk.T @ h, gk.sum(axis=0))):
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+            x_bar = bars[4][:, :, k * I : (k + 1) * I].reshape(-1, I)
+            assert np.allclose(x_bar, z @ w1[k], rtol=1e-12, atol=1e-13)
+
+    def test_parallel_nets_must_share_hidden_width(self, rng):
+        with pytest.raises(ValueError, match="hidden width"):
+            ParallelMlp([Mlp(1, 3, 1, rng=rng), Mlp(1, 4, 1, rng=rng)])
+
+
+class TestSimulate:
+    def test_simulate_equals_tape_forward_bit_for_bit_for_every_block_kind(self, rng):
+        examples = {
+            "tf": MimoTransferFunction(2, 2, 2, 2, 1, rng=rng),
+            "mlp": Mlp(2, 4, 2, rng=rng),
+            "parallel_mlp": ParallelMlp([Mlp(1, 3, 1, rng=rng) for _ in range(2)]),
+            "poly": PolyStatic([[0.1, 1.0, -0.3], [0.0, 0.5, 0.2]]),
+        }
+        examples["tf"].a.value = rng.normal(0.0, 0.2, examples["tf"].a.value.shape)
+        assert set(examples) == set(_BLOCK_KINDS)
+        x = rng.normal(0.0, 1.0, (3, 40, 2))
+        for kind, block in examples.items():
+            tape = Tape()
+            on_tape = block.apply(tape, tape.constant(x)).value
+            assert np.array_equal(block.simulate(x), on_tape), kind
+
 
 class TestBuilders:
     def test_wh_structure(self, rng):
@@ -179,7 +252,7 @@ class TestBuilders:
             fd = central_difference(f, p.value)
             assert relative_errors(p.grad, fd).max() <= 1e-5, name
 
-    @pytest.mark.parametrize("builder", [build_wh, build_pwh])
+    @pytest.mark.parametrize("builder", [build_wh, build_pwh, build_wide_nets])
     def test_full_model_gradients_pass_finite_differences(self, rng, builder):
         model = builder(n_b=2, n_a=2, hidden=3, rng=rng)
         u = rng.normal(0.0, 1.0, (1, 64, model.in_channels))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from difftf.cli import main
-from difftf.fileio import read_csv, read_dataset, read_json, write_dataset
+from difftf.fileio import read_csv, read_dataset, read_json, write_dataset, write_json
 
 
 def run(args):
@@ -84,6 +84,33 @@ class TestTrain:
         code = run(["train", "--data", data, "--arch", "fir", "--loss", "quantized",
                     "--iterations", 1, "--out", tmp_path / "r"])
         assert code == 1
+
+    @pytest.mark.parametrize("bad_bin", [12, -1])
+    def test_out_of_range_bin_index_is_data_error(self, rng, tmp_path, capsys, bad_bin):
+        data = tmp_path / "d.csv"
+        z = rng.integers(0, 12, 32)
+        z[5] = bad_bin
+        write_dataset(data, rng.normal(0, 1, 32), z=z)
+        write_json(tmp_path / "q.json", {"thresholds": np.linspace(-1, 1, 13).tolist()})
+        code = run(["train", "--data", data, "--arch", "fir", "--loss", "quantized",
+                    "--quantizer", tmp_path / "q.json", "--iterations", 1,
+                    "--out", tmp_path / "r"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"bin index {bad_bin}" in err and "12 bins" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_non_finite_input_is_data_error_before_training(self, rng, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        u = rng.normal(0, 1, 64)
+        u[10] = np.nan
+        write_dataset(data, u, y=rng.normal(0, 1, 64))
+        code = run(["train", "--data", data, "--arch", "wh", "--n-b", 2, "--n-a", 2,
+                    "--hidden", 3, "--loss", "mse", "--iterations", 5,
+                    "--out", tmp_path / "r"])
+        assert code == 3
+        assert "u column" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_loss_kind_data_mismatch(self, rng, tmp_path):
         data = tmp_path / "d.csv"
@@ -165,6 +192,19 @@ class TestEval:
         assert code == 0
         cols = read_csv(bode)
         assert {"frequency", "magnitude_db", "true_magnitude_db"} == cols.keys()
+
+    def test_eval_of_unstable_filter_is_numeric_failure(self, rng, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_dataset(data, rng.normal(0, 1, 400), y=rng.normal(0, 1, 400))
+        out = tmp_path / "run"
+        assert run(["train", "--data", data, "--arch", "wh", "--n-b", 2, "--n-a", 2,
+                    "--hidden", 3, "--loss", "mse", "--iterations", 0, "--out", out]) == 0
+        doc = read_json(out / "model.json")
+        doc["blocks"][0]["a"][0][0][0] = -30.0  # pole at 30
+        write_json(out / "model.json", doc)
+        assert run(["eval", "--model", out / "model.json", "--data", data]) == 2
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "t=" in err and "batch element 0" in err
 
     def test_eval_rejects_quantized_data(self, rng, tmp_path):
         data = tmp_path / "d.csv"

@@ -54,6 +54,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="integer"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("column", ["u", "y"])
+    def test_non_finite_values_detected(self, tmp_path, column):
+        path = tmp_path / "bad.csv"
+        rows = {"u": "0,nan,1.0", "y": "0,1.0,inf"}[column]
+        path.write_text(f"t,u,y\n0,1.0,1.0\n{rows}\n")
+        with pytest.raises(ValueError, match=f"non-finite value in the {column} column"):
+            read_dataset(path)
+
     def test_malformed_seq_detected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("seq,t,u,y\n0,0,1.0,1.0\n2,0,1.0,1.0\n")

@@ -169,6 +169,24 @@ class TestTrain:
             train([p], always_diverges, TrainConfig(iterations=10, lr=0.1))
         assert err.value.restores == 6  # max_lr_halvings + 1
 
+    def test_best_iteration_names_restored_iterate_below_plateau_rtol(self):
+        # the last two decreases are smaller than plateau_rtol
+        losses = iter([1.0, 0.5, 0.5 - 1e-9, 0.5 - 2e-9, 0.6, 0.7])
+        p = Parameter(np.array([0.0]), "p")
+
+        def build_loss():
+            p.value = p.value + 1.0  # iterate k holds k + 1; its gradient is zero
+            tape = Tape()
+            return tape, tape.add(tape.total(tape.scale(tape.leaf(p), 0.0)), next(losses))
+
+        result = train([p], build_loss, TrainConfig(iterations=6, plateau_patience=3))
+        best = int(np.argmin(result.loss_trace))
+        assert result.best_iteration == best == 3
+        assert result.best_loss == result.loss_trace[best]
+        assert p.value[0] == best + 1
+        # plateau patience still counts from the last significant improvement
+        assert result.stopped_on_plateau and result.iterations_run == 4
+
     def test_plateau_stop(self):
         p = Parameter(np.array([0.0]), "p")
         result = train(

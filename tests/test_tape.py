@@ -49,6 +49,14 @@ class TestForward:
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
+    def test_second_backward_on_one_tape_rejected(self, rng):
+        model = build_wh(n_b=2, n_a=2, hidden=3, rng=rng)
+        tape = Tape()
+        loss = tape.mean(tape.square(model.apply(tape, tape.constant(np.ones((1, 8, 1))))))
+        tape.backward(loss)
+        with pytest.raises(ValueError, match="already ran"):
+            tape.backward(loss)
+
     def test_backward_requires_node_from_this_tape(self):
         tape1, tape2 = Tape(), Tape()
         loss = tape1.mean(tape1.constant(np.ones(3)[np.newaxis, :, np.newaxis]))
