@@ -10,16 +10,7 @@ from .tf_core import (
     frequency_response,
     impulse_response,
 )
-from .tf_grad import (
-    FilterGradients,
-    filter_gradients,
-    grad_a,
-    grad_b,
-    grad_u,
-    sens_a1,
-    sens_b0,
-)
-from .tape import Node, Parameter, ParameterStore, Tape
+from .tape import Node, Parameter, Tape
 from .blocks import (
     BlockModel,
     MimoTransferFunction,
@@ -56,7 +47,6 @@ __all__ = [
     "Adam",
     "BlockModel",
     "FilterDivergenceError",
-    "FilterGradients",
     "MimoTransferFunction",
     "Mlp",
     "ModelFile",
@@ -65,7 +55,6 @@ __all__ = [
     "Normalization",
     "ParallelMlp",
     "Parameter",
-    "ParameterStore",
     "PemModel",
     "PolyStatic",
     "Quantizer",
@@ -80,13 +69,9 @@ __all__ = [
     "convolve_truncated",
     "estimated_noise_filter",
     "filter_forward",
-    "filter_gradients",
     "fit_index",
     "flip",
     "frequency_response",
-    "grad_a",
-    "grad_b",
-    "grad_u",
     "impulse_response",
     "log_phi_cdf_diff",
     "one_step_predictor",
@@ -97,7 +82,5 @@ __all__ = [
     "quantized_loglik",
     "quantized_loglik_node",
     "rmse",
-    "sens_a1",
-    "sens_b0",
     "train",
 ]

@@ -397,7 +397,12 @@ class BlockModel:
 
     @classmethod
     def from_config(cls, cfg):
-        return cls([_BLOCK_KINDS[c["kind"]].from_config(c) for c in cfg["blocks"]])
+        blocks = []
+        for c in cfg["blocks"]:
+            if c["kind"] not in _BLOCK_KINDS:
+                raise ValueError(f"unknown block kind: {c['kind']!r}")
+            blocks.append(_BLOCK_KINDS[c["kind"]].from_config(c))
+        return cls(blocks)
 
 
 def build_wh(n_b=8, n_a=8, hidden=10, rng=None):
@@ -512,15 +517,21 @@ class ModelFile:
 
     @classmethod
     def from_dict(cls, doc):
-        model = BlockModel.from_config(doc)
-        norm_cfg = doc.get("normalization")
-        norm = Normalization.from_config(norm_cfg) if norm_cfg else None
-        nf_cfg = doc.get("noise_filter")
-        noise = (
-            TransferFunction(np.asarray(nf_cfg["b"]), np.asarray(nf_cfg["a"]), nf_cfg["n_k"])
-            if nf_cfg
-            else None
-        )
+        """Parse a model document; a missing key or a malformed entry raises ValueError."""
+        try:
+            model = BlockModel.from_config(doc)
+            norm_cfg = doc.get("normalization")
+            norm = Normalization.from_config(norm_cfg) if norm_cfg else None
+            nf_cfg = doc.get("noise_filter")
+            noise = (
+                TransferFunction(np.asarray(nf_cfg["b"]), np.asarray(nf_cfg["a"]), nf_cfg["n_k"])
+                if nf_cfg
+                else None
+            )
+        except KeyError as exc:
+            raise ValueError(f"model file lacks key {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed model file: {exc}") from None
         return cls(model, norm, noise, doc.get("log_sigma_e"), doc.get("meta"))
 
     def save(self, path):

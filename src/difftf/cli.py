@@ -106,7 +106,11 @@ def _resolve_config(args, keys):
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         for name, value in doc.items():
-            values[name] = keys[name][0](value)
+            typ = keys[name][0]
+            try:
+                values[name] = typ(value)
+            except (TypeError, ValueError):
+                raise UsageError(f"config key {name}: {value!r} is not a valid {typ.__name__}")
     for name in keys:
         flag = getattr(args, name)
         if flag is not None:
@@ -241,8 +245,8 @@ def cmd_train(cfg):
     batch_size = cfg["batch_size"]
     n_seq = u_n.shape[0]
     if batch_size:
-        if batch_size >= n_seq:
-            raise UsageError("batch_size must be smaller than the sequence count")
+        if not 0 < batch_size < n_seq:
+            raise UsageError("batch_size must be positive and smaller than the sequence count")
         batch_rng = np.random.default_rng(cfg["seed"] + 1)
 
     def pick_rows():

@@ -6,12 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tf_grad
-from .blocks import build_pwh, build_wh
+from .blocks import MimoTransferFunction, build_pwh, build_wh
 from .pem import PemModel
 from .quantized import Quantizer, quantize, quantized_loglik_node
 from .tape import Parameter, Tape
-from .tf_core import filter_forward, random_stable_tf
+from .tf_core import TransferFunction, filter_forward, random_stable_tf
 
 GRAD_TOL = 1e-5
 
@@ -78,6 +77,19 @@ def _weighted_loss(params, u, w):
     return float(np.dot(w, filter_forward(params, u)))
 
 
+def filter_op_gradients(tf, u, w):
+    """b, a and u adjoints of the loss w . G(q)u, taken through the filter op
+    that training records (a 1x1 MimoTransferFunction grid on a tape)."""
+    grid = MimoTransferFunction.siso(tf)
+    tape = Tape()
+    u_node = tape.input(u)
+    y = grid.apply(tape, u_node)
+    w3 = np.asarray(w, dtype=float)[np.newaxis, :, np.newaxis]
+    loss = tape.custom(float(np.sum(w3 * y.value)), (y,), lambda g: (g * w3,), op="weighted")
+    tape.backward(loss)
+    return grid.b.grad[0, 0], grid.a.grad[0, 0], u_node.adjoint[0, :, 0]
+
+
 def check_filter_gradients(rng, n_cases=20, lengths=(8, 32, 128), corrupt=False):
     """FD check of the three filter gradients on random stable cases.
 
@@ -85,8 +97,6 @@ def check_filter_gradients(rng, n_cases=20, lengths=(8, 32, 128), corrupt=False)
     against the unit circle amplify the loss by ~1e4, which leaves finite
     differences at step 1e-6 too roundoff-limited to resolve the tolerance.
     """
-    from .tf_core import TransferFunction
-
     worst_b = worst_a = worst_u = 0.0
     for case in range(n_cases):
         T = int(rng.choice(lengths))
@@ -96,17 +106,14 @@ def check_filter_gradients(rng, n_cases=20, lengths=(8, 32, 128), corrupt=False)
         tf = random_stable_tf(rng, n_b, n_a, n_k, max_radius=0.9)
         u = rng.normal(0.0, 1.0, T)
         w = rng.normal(0.0, 1.0, T)
+        b_bar, a_bar, u_bar = filter_op_gradients(tf, u, w)
 
-        sb0 = tf_grad.sens_b0(tf, u)
-        b_bar = tf_grad.grad_b(w, sb0, n_b)
         fd_b = central_difference(
             lambda b: _weighted_loss(TransferFunction(b, tf.a, n_k), u, w), tf.b
         )
         worst_b = max(worst_b, float(np.max(relative_errors(b_bar, fd_b), initial=0.0)))
 
         if n_a > 0:
-            y = filter_forward(tf, u)
-            a_bar = tf_grad.grad_a(w, tf_grad.sens_a1(tf, y), n_a)
             fd_a = central_difference(
                 lambda a: _weighted_loss(TransferFunction(tf.b, a, n_k), u, w), tf.a
             )
@@ -114,7 +121,6 @@ def check_filter_gradients(rng, n_cases=20, lengths=(8, 32, 128), corrupt=False)
                 worst_a, float(np.max(relative_errors(a_bar, fd_a), initial=0.0))
             )
 
-        u_bar = tf_grad.grad_u(tf, w)
         fd_u = central_difference(lambda uu: _weighted_loss(tf, uu, w), u)
         worst_u = max(worst_u, float(np.max(relative_errors(u_bar, fd_u), initial=0.0)))
 
@@ -227,7 +233,7 @@ def check_quantized_gradients(rng, T=256):
     loglik = quantized_loglik_node(tape, y_node, z, log_sigma, qz)
     log_sigma.grad = np.zeros_like(log_sigma.value)
     tape.backward(loglik)
-    y_grad = y_node.grad_value()
+    y_grad = y_node.adjoint
 
     def loss_y(v):
         t2 = Tape()

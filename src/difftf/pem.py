@@ -11,15 +11,16 @@ import warnings
 
 import numpy as np
 
-from .tape import Parameter, Tape
+from .blocks import MimoTransferFunction
+from .tape import Tape
 from .tf_core import TransferFunction, frequency_response, impulse_response
 
 
 class PemModel:
     """Deterministic block model plus a strictly proper noise block Hc.
 
-    Hc always has n_k = 1; the inverse noise filter 1 + Hc therefore has an
-    impulse response that leads with exactly 1.
+    Hc is a 1x1 filter grid with n_k = 1; the inverse noise filter 1 + Hc
+    therefore has an impulse response that leads with exactly 1.
     """
 
     def __init__(self, model, noise_n_b=2, noise_n_a=2, noise_b=None, noise_a=None):
@@ -28,12 +29,13 @@ class PemModel:
         self.model = model
         b0 = np.zeros(int(noise_n_b) + 1) if noise_b is None else np.asarray(noise_b, float)
         a0 = np.zeros(int(noise_n_a)) if noise_a is None else np.asarray(noise_a, float)
-        self.noise_b = Parameter(b0, "noise.b")
-        self.noise_a = Parameter(a0, "noise.a")
+        self.noise = MimoTransferFunction(1, 1, b0.size - 1, a0.size, n_k=1, b=b0, a=a0)
+        self.noise_b = self.noise.b
+        self.noise_a = self.noise.a
 
     def h_check(self):
         """Current strictly proper noise block as a fixed filter."""
-        return TransferFunction(self.noise_b.value, self.noise_a.value, n_k=1)
+        return self.noise.cell(0, 0)
 
     def parameters(self):
         out = list(self.model.parameters())
@@ -47,8 +49,7 @@ class PemModel:
         y_node = y if hasattr(y, "value") else tape.constant(y)
         m_out = self.model.apply(tape, u_node)
         d = tape.sub(y_node, m_out)
-        filtered = tape.filter(self.noise_b, self.noise_a, 1, d)
-        return tape.add(d, filtered)
+        return tape.add(d, self.noise.apply(tape, d))
 
     def pem_loss_node(self, tape, u, y):
         eps = self.prediction_error_node(tape, u, y)

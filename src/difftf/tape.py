@@ -1,4 +1,4 @@
-"""Minimal reverse-mode tape for composing filters, arithmetic and custom nodes.
+"""Minimal reverse-mode tape for composing arithmetic and custom nodes.
 
 Node values are either Python floats (scalar nodes) or float arrays of shape
 (batch, T, channels). The tape is rebuilt on every forward evaluation
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tf_grad
-from .tf_core import TransferFunction, filter_rows
+# unused here; perfbench's binding test reads tape.filter_rows, so the name stays
+from .tf_core import filter_rows  # noqa: F401
 
 
 class Parameter:
@@ -30,49 +30,12 @@ class Parameter:
         return f"Parameter({self.name or '<anon>'}, shape={self.value.shape})"
 
 
-class ParameterStore:
-    """Ordered registry of uniquely named parameters with adjoint slots."""
-
-    def __init__(self):
-        self._params = {}
-
-    def register(self, name, value):
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        param = value if isinstance(value, Parameter) else Parameter(value, name)
-        param.name = name
-        self._params[name] = param
-        return param
-
-    def __getitem__(self, name):
-        return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def __iter__(self):
-        return iter(self._params.values())
-
-    def __len__(self):
-        return len(self._params)
-
-    def names(self):
-        return list(self._params.keys())
-
-    def zero_grad(self):
-        for p in self._params.values():
-            p.grad = np.zeros_like(p.value)
-
-    def snapshot(self):
-        return {name: p.value.copy() for name, p in self._params.items()}
-
-    def restore(self, snap):
-        for name, value in snap.items():
-            self._params[name].value = value.copy()
-
-
 class Node:
-    """One recorded operation: forward value plus the adjoint rule."""
+    """One recorded operation: forward value plus the adjoint rule.
+
+    After backward(), adjoint holds the loss gradient with respect to value,
+    or None when the loss does not depend on the node.
+    """
 
     __slots__ = ("value", "parents", "op", "requires_grad", "vjp", "adjoint")
 
@@ -83,14 +46,6 @@ class Node:
         self.requires_grad = requires_grad
         self.vjp = vjp
         self.adjoint = None
-
-    def grad_value(self):
-        """Accumulated adjoint after backward(); zeros if unreachable."""
-        if self.adjoint is None:
-            if np.isscalar(self.value):
-                return 0.0
-            return np.zeros_like(self.value)
-        return self.adjoint
 
 
 def _as_value(x):
@@ -232,42 +187,7 @@ class Tape:
             )
         )
 
-    # ---- filters and custom operations ---------------------------------
-
-    def filter(self, b, a, n_k, u):
-        """SISO filtering node; b and a may be Parameters or fixed arrays."""
-        b_node, a_node, u_node = self._wrap_raw(b), self._wrap_raw(a), self._wrap(u)
-        params = TransferFunction(np.asarray(b_node.value), np.asarray(a_node.value), n_k)
-        x = u_node.value
-        if x.shape[2] != 1:
-            raise ValueError("filter expects a single-channel input")
-        x2 = x[:, :, 0]
-        y2 = filter_rows(params, x2)
-
-        def vjp(g):
-            g2 = g[:, :, 0]
-            b_bar = a_bar = u_bar = None
-            if b_node.requires_grad:
-                b_bar = tf_grad.grad_b_rows(g2, tf_grad.sens_b0_rows(params, x2), params.n_b)
-            if a_node.requires_grad and params.n_a > 0:
-                a_bar = tf_grad.grad_a_rows(g2, tf_grad.sens_a1_rows(params, y2), params.n_a)
-            elif a_node.requires_grad:
-                a_bar = np.zeros(0)
-            if u_node.requires_grad:
-                u_bar = tf_grad.grad_u_rows(params, g2)[:, :, np.newaxis]
-            return (b_bar, a_bar, u_bar)
-
-        return self._record(
-            Node(
-                y2[:, :, np.newaxis],
-                (b_node, a_node, u_node),
-                op="filter",
-                requires_grad=b_node.requires_grad
-                or a_node.requires_grad
-                or u_node.requires_grad,
-                vjp=vjp,
-            )
-        )
+    # ---- custom operations ---------------------------------------------
 
     def custom(self, value, parents, vjp, op="custom"):
         """Record an externally computed operation with its adjoint rule."""

@@ -1,29 +1,17 @@
-"""Backward pass of the linear filtering block.
+"""Row kernels of the filter backward pass, called by MimoTransferFunction's vjp.
 
-Given the loss gradient with respect to the filter output (y_bar), computes
-the gradients with respect to the numerator coefficients b, the denominator
-coefficients a, and the input series u. Coefficient gradients reduce to one
-all-pole filtering (the sensitivity series) plus shifted dot products; the
-input gradient is the reverse-time filtering trick.
+Given the loss gradient with respect to one filter's output rows (y_bar),
+they compute the gradients with respect to the numerator coefficients b, the
+denominator coefficients a, and the input rows u. Coefficient gradients
+reduce to one all-pole filtering (the sensitivity series) plus shifted dot
+products; the input gradient is the reverse-time filtering trick.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tf_core import TransferFunction, _coerce_series, filter_rows
-
-
-@dataclass(frozen=True)
-class FilterGradients:
-    """The three adjoints of one filtering block, shaped like the forward
-    quantities: b_bar (n_b + 1,), a_bar (n_a,), u_bar like the input series."""
-
-    b_bar: np.ndarray
-    a_bar: np.ndarray
-    u_bar: np.ndarray
+from .tf_core import TransferFunction, filter_rows
 
 
 def sens_b0_rows(params, u_rows):
@@ -76,59 +64,3 @@ def grad_a_rows(y_bar_rows, sigma_a1_rows, n_a):
 def grad_u_rows(params, y_bar_rows):
     """u_bar = flip(G(q) flip(y_bar)): the O(T) reverse-time filtering form."""
     return filter_rows(params, y_bar_rows[:, ::-1])[:, ::-1].copy()
-
-
-def sens_b0(params, u):
-    """Numerator sensitivity series, same form (Signal or 1-D array) as u."""
-    rows, rebuild = _coerce_series(u)
-    return rebuild(sens_b0_rows(params, rows))
-
-
-def sens_a1(params, y):
-    """Denominator sensitivity series for the forward output y."""
-    rows, rebuild = _coerce_series(y)
-    return rebuild(sens_a1_rows(params, rows))
-
-
-def grad_b(y_bar, sigma_b0, n_b):
-    """Gradient with respect to b from the output adjoint and sigma_b0.
-
-    Batched signals contribute additively (the loss sums over batch elements).
-    """
-    yb, _ = _coerce_series(y_bar)
-    sb, _ = _coerce_series(sigma_b0)
-    if yb.shape != sb.shape:
-        raise ValueError("y_bar and sigma_b0 must have equal shape")
-    return grad_b_rows(yb, sb, int(n_b))
-
-
-def grad_a(y_bar, sigma_a1, n_a):
-    """Gradient with respect to a from the output adjoint and sigma_a1."""
-    yb, _ = _coerce_series(y_bar)
-    sa, _ = _coerce_series(sigma_a1)
-    if yb.shape != sa.shape:
-        raise ValueError("y_bar and sigma_a1 must have equal shape")
-    return grad_a_rows(yb, sa, int(n_a))
-
-
-def grad_u(params, y_bar):
-    """Gradient with respect to the input series: u_bar_tau = sum_t y_bar_t g_{t-tau}."""
-    rows, rebuild = _coerce_series(y_bar)
-    return rebuild(grad_u_rows(params, rows))
-
-
-def filter_gradients(params, u, y, y_bar):
-    """All three gradients of one block from its saved forward tensors.
-
-    u and y are the forward input and output; the sensitivity series are
-    recomputed from them (one all-pole filtering each) rather than cached.
-    """
-    u_rows, _ = _coerce_series(u)
-    y_rows, _ = _coerce_series(y)
-    g_rows, rebuild = _coerce_series(y_bar)
-    b_bar = grad_b_rows(g_rows, sens_b0_rows(params, u_rows), params.n_b)
-    if params.n_a:
-        a_bar = grad_a_rows(g_rows, sens_a1_rows(params, y_rows), params.n_a)
-    else:
-        a_bar = np.zeros(0)
-    return FilterGradients(b_bar, a_bar, rebuild(grad_u_rows(params, g_rows)))

@@ -80,7 +80,7 @@ class TestMimoForward:
         out = block.apply(tape, u_node)
         loss = tape.total(tape.square(out))
         tape.backward(loss)
-        got = u_node.grad_value()
+        got = u_node.adjoint
 
         from difftf.tf_grad import grad_u_rows
 
@@ -135,7 +135,7 @@ class TestMlp:
             xk = single.input(x[:, :, k : k + 1])
             single.backward(single.total(single.square(net.apply(single, xk))))
             assert np.allclose(
-                x_node.grad_value()[:, :, k : k + 1], xk.grad_value(), rtol=1e-13
+                x_node.adjoint[:, :, k : k + 1], xk.adjoint, rtol=1e-13
             )
             for j, (_, p) in enumerate(net.parameters()):
                 assert np.allclose(grads[4 * k + j], p.grad, rtol=1e-13, atol=1e-14)
@@ -297,7 +297,7 @@ class TestPolyStatic:
         loss = tape.total(block.apply(tape, x_node))
         tape.backward(loss)
         slope = 1.0 - 0.6 * x + 0.6 * x**2
-        assert np.allclose(x_node.grad_value(), slope, rtol=1e-13)
+        assert np.allclose(x_node.adjoint, slope, rtol=1e-13)
 
 
 class TestSerialization:

@@ -140,6 +140,12 @@ class TestTrain:
         cfg_path.write_text(json.dumps({"no_such_key": 1}))
         assert run(["train", "--config", cfg_path]) == 1
 
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"iterations": "many"}))
+        assert run(["train", "--config", cfg_path]) == 1
+        assert "iterations" in capsys.readouterr().err
+
     def test_minibatch_samples_sequences(self, tmp_path):
         gen = tmp_path / "gen"
         assert run(["generate", "--kind", "pwh-quantized", "--T", 128,
@@ -158,6 +164,16 @@ class TestTrain:
         code = run(["train", "--data", data, "--arch", "fir", "--fir-taps", 3,
                     "--loss", "mse", "--iterations", 2, "--batch-size", 1,
                     "--out", tmp_path / "r"])
+        assert code == 1
+
+    def test_negative_batch_size_is_usage_error(self, tmp_path):
+        gen = tmp_path / "gen"
+        assert run(["generate", "--kind", "pwh-quantized", "--T", 64,
+                    "--realizations", 1, "--seed", 4, "--out", gen]) == 0
+        code = run(["train", "--data", gen / "train.csv", "--arch", "pwh",
+                    "--n-b", 2, "--n-a", 2, "--hidden", 3, "--loss", "quantized",
+                    "--quantizer", gen / "meta.json", "--iterations", 2,
+                    "--batch-size", -1, "--out", tmp_path / "r"])
         assert code == 1
 
 
@@ -205,6 +221,19 @@ class TestEval:
         assert run(["eval", "--model", out / "model.json", "--data", data]) == 2
         err = capsys.readouterr().err
         assert "numeric failure" in err and "t=" in err and "batch element 0" in err
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"version": 1}, "'blocks'"),
+        ({"blocks": [{"kind": "nope"}]}, "'nope'"),
+        ({"blocks": [1]}, "malformed"),
+    ])
+    def test_malformed_model_file_is_data_error(self, rng, tmp_path, capsys, doc, named):
+        data = tmp_path / "d.csv"
+        write_dataset(data, rng.normal(0, 1, 32), y=rng.normal(0, 1, 32))
+        write_json(tmp_path / "model.json", doc)
+        assert run(["eval", "--model", tmp_path / "model.json", "--data", data]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and named in err
 
     def test_eval_rejects_quantized_data(self, rng, tmp_path):
         data = tmp_path / "d.csv"

@@ -150,6 +150,14 @@ class TestPemLoss:
             fd = central_difference(f, p.value)
             assert relative_errors(p.grad, fd).max() <= 1e-5
 
+    def test_loss_tape_records_every_filter_as_a_grid(self, rng):
+        pm = PemModel(build_wh(n_b=2, n_a=2, hidden=3, rng=rng))
+        tape = Tape()
+        pm.pem_loss_node(tape, as3d(rng.normal(0.0, 1.0, 30)), as3d(rng.normal(0.0, 1.0, 30)))
+        ops = [node.op for node in tape._nodes]
+        assert ops.count("mimo_filter") == 3
+        assert "filter" not in ops
+
 
 class TestNoiseFilter:
     def test_monic_inverse_impulse_response_leads_with_one(self, rng):

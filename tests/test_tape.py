@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from difftf.gradcheck import central_difference, relative_errors
-from difftf.blocks import build_wh
-from difftf.tape import Parameter, ParameterStore, Tape
+from difftf.blocks import MimoTransferFunction, build_wh
+from difftf.tape import Tape
 from difftf.tf_core import TransferFunction, filter_forward, random_stable_tf
 
 
@@ -11,12 +11,15 @@ def as3d(x):
     return np.asarray(x, dtype=float)[np.newaxis, :, np.newaxis]
 
 
+IDENTITY = TransferFunction([1.0], [], 0)
+
+
 class TestForward:
     def test_single_filter_mean_square_matches_direct_formula(self, rng):
         tf = random_stable_tf(rng, 2, 2)
         u = rng.normal(0.0, 1.0, 30)
         tape = Tape()
-        y = tape.filter(tf.b, tf.a, tf.n_k, tape.constant(as3d(u)))
+        y = MimoTransferFunction.siso(tf).apply(tape, tape.constant(as3d(u)))
         loss = tape.mean(tape.square(y))
         direct = float(np.mean(filter_forward(tf, u) ** 2))
         assert loss.value == pytest.approx(direct, rel=1e-14)
@@ -24,7 +27,7 @@ class TestForward:
     def test_identity_filter_graph_preserves_loss(self, rng):
         u = rng.normal(0.0, 1.0, 25)
         tape = Tape()
-        y = tape.filter([1.0], [], 0, tape.constant(as3d(u)))
+        y = MimoTransferFunction.siso(IDENTITY).apply(tape, tape.constant(as3d(u)))
         loss = tape.mean(tape.square(y))
         assert loss.value == pytest.approx(float(np.mean(u**2)), rel=1e-15)
 
@@ -45,7 +48,7 @@ class TestForward:
 
     def test_scalar_loss_required_for_backward(self, rng):
         tape = Tape()
-        y = tape.filter([1.0], [], 0, tape.constant(as3d(np.ones(4))))
+        y = MimoTransferFunction.siso(IDENTITY).apply(tape, tape.constant(as3d(np.ones(4))))
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
@@ -69,10 +72,10 @@ class TestBackward:
         u = rng.normal(0.0, 1.0, 20)
         tape = Tape()
         u_node = tape.input(as3d(u))
-        y = tape.filter([1.0], [], 0, u_node)
+        y = MimoTransferFunction.siso(IDENTITY).apply(tape, u_node)
         loss = tape.mean(tape.square(y))
         tape.backward(loss)
-        assert np.allclose(u_node.grad_value()[0, :, 0], 2.0 * u / 20, rtol=1e-14)
+        assert np.allclose(u_node.adjoint[0, :, 0], 2.0 * u / 20, rtol=1e-14)
 
     def test_fan_out_adjoints_accumulate(self, rng):
         tf1 = random_stable_tf(rng, 2, 1)
@@ -81,30 +84,30 @@ class TestBackward:
         tape = Tape()
         u_node = tape.input(as3d(u))
         y = tape.add(
-            tape.filter(tf1.b, tf1.a, tf1.n_k, u_node),
-            tape.filter(tf2.b, tf2.a, tf2.n_k, u_node),
+            MimoTransferFunction.siso(tf1).apply(tape, u_node),
+            MimoTransferFunction.siso(tf2).apply(tape, u_node),
         )
         loss = tape.total(tape.square(y))
         tape.backward(loss)
-        combined = u_node.grad_value()
+        combined = u_node.adjoint
 
         # single-branch check: gradient of each branch alone sums to the whole
         t_a = Tape()
         un_a = t_a.input(as3d(u))
-        s = t_a.filter(tf1.b, tf1.a, tf1.n_k, un_a)
+        s = MimoTransferFunction.siso(tf1).apply(t_a, un_a)
         # frozen copy of the other branch output as a constant
         other = filter_forward(tf2, u)
         yy = t_a.add(s, t_a.constant(as3d(other)))
         t_a.backward(t_a.total(t_a.square(yy)))
-        g_a = un_a.grad_value()
+        g_a = un_a.adjoint
 
         t_b = Tape()
         un_b = t_b.input(as3d(u))
-        s = t_b.filter(tf2.b, tf2.a, tf2.n_k, un_b)
+        s = MimoTransferFunction.siso(tf2).apply(t_b, un_b)
         other = filter_forward(tf1, u)
         yy = t_b.add(t_b.constant(as3d(other)), s)
         t_b.backward(t_b.total(t_b.square(yy)))
-        g_b = un_b.grad_value()
+        g_b = un_b.adjoint
 
         assert np.allclose(combined, g_a + g_b, rtol=1e-12, atol=1e-13)
 
@@ -137,35 +140,32 @@ class TestBackward:
             assert relative_errors(p.grad, fd).max() <= 1e-5, name
 
     def test_gradient_of_sum_equals_sum_of_gradients(self, rng):
-        tf = random_stable_tf(rng, 2, 2)
-        b = Parameter(tf.b, "b")
-        a = Parameter(tf.a, "a")
+        grid = MimoTransferFunction.siso(random_stable_tf(rng, 2, 2))
         u1 = as3d(rng.normal(0.0, 1.0, 20))
         u2 = as3d(rng.normal(0.0, 1.0, 20))
 
         def grad_of(us):
             tape = Tape()
             losses = [
-                tape.total(tape.square(tape.filter(b, a, tf.n_k, tape.constant(u))))
+                tape.total(tape.square(grid.apply(tape, tape.constant(u))))
                 for u in us
             ]
             total = losses[0]
             for extra in losses[1:]:
                 total = tape.add(total, extra)
-            b.grad = np.zeros_like(b.value)
+            grid.b.grad = np.zeros_like(grid.b.value)
             tape.backward(total)
-            return b.grad.copy()
+            return grid.b.grad.copy()
 
         assert np.allclose(grad_of([u1, u2]), grad_of([u1]) + grad_of([u2]),
                            rtol=1e-12, atol=1e-14)
 
     def test_detached_subgraph_gets_zero_gradient(self, rng):
-        tf = random_stable_tf(rng, 2, 2)
-        b = Parameter(tf.b, "b")
-        a = Parameter(tf.a, "a")
+        grid = MimoTransferFunction.siso(random_stable_tf(rng, 2, 2))
+        b, a = grid.b, grid.a
         u = as3d(rng.normal(0.0, 1.0, 20))
         tape = Tape()
-        y = tape.filter(b, a, tf.n_k, tape.constant(u))
+        y = grid.apply(tape, tape.constant(u))
         detached = tape.detach(y)  # cut the graph here
         loss = tape.mean(tape.square(detached))
         b.grad = np.ones_like(b.value)
@@ -194,26 +194,3 @@ class TestBackward:
         assert l1 == l2
         for x, y in zip(g1, g2):
             assert np.array_equal(x, y)
-
-
-class TestParameterStore:
-    def test_unique_names_enforced(self):
-        store = ParameterStore()
-        store.register("w", np.ones(3))
-        with pytest.raises(ValueError, match="duplicate"):
-            store.register("w", np.ones(3))
-
-    def test_snapshot_round_trip(self):
-        store = ParameterStore()
-        p = store.register("w", np.arange(3.0))
-        snap = store.snapshot()
-        p.value[:] = 99.0
-        store.restore(snap)
-        assert np.array_equal(p.value, np.arange(3.0))
-
-    def test_zero_grad(self):
-        store = ParameterStore()
-        p = store.register("w", np.ones(2))
-        p.grad = np.ones(2)
-        store.zero_grad()
-        assert np.array_equal(p.grad, np.zeros(2))
