@@ -2,7 +2,6 @@
 
 from .tf_core import (
     FilterDivergenceError,
-    Signal,
     TransferFunction,
     convolve_truncated,
     filter_forward,
@@ -30,7 +29,6 @@ from .pem import (
     prediction_error,
 )
 from .quantized import (
-    NoiseScale,
     Quantizer,
     log_phi_cdf_diff,
     phi_cdf,
@@ -50,7 +48,6 @@ __all__ = [
     "MimoTransferFunction",
     "Mlp",
     "ModelFile",
-    "NoiseScale",
     "Node",
     "Normalization",
     "ParallelMlp",
@@ -58,7 +55,6 @@ __all__ = [
     "PemModel",
     "PolyStatic",
     "Quantizer",
-    "Signal",
     "Tape",
     "TrainConfig",
     "TrainingDivergedError",

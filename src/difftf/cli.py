@@ -20,7 +20,7 @@ from . import datagen, fileio, gradcheck
 from .blocks import BlockModel, MimoTransferFunction, ModelFile, Normalization, build_pwh, build_wh
 from .metrics import fit_index, rmse
 from .optim import TrainConfig, TrainingDivergedError, train
-from .pem import PemModel, bode_magnitude_table, estimated_noise_filter
+from .pem import PemModel, bode_magnitude_table, invert_monic_noise_filter
 from .quantized import Quantizer, quantized_loglik_node
 from .tape import Parameter, Tape
 from .tf_core import FilterDivergenceError
@@ -108,6 +108,9 @@ def _resolve_config(args, keys):
         for name, value in doc.items():
             typ = keys[name][0]
             try:
+                # int() would truncate 2.7 silently; only integral floats pass
+                if typ is int and isinstance(value, float) and not value.is_integer():
+                    raise ValueError(value)
                 values[name] = typ(value)
             except (TypeError, ValueError):
                 raise UsageError(f"config key {name}: {value!r} is not a valid {typ.__name__}")
@@ -364,12 +367,7 @@ def cmd_eval(cfg):
     if cfg["bode"]:
         if model_file.noise_filter is None:
             raise UsageError("model has no noise filter to export")
-        pm = PemModel(
-            model_file.model,
-            noise_b=model_file.noise_filter.b,
-            noise_a=model_file.noise_filter.a,
-        )
-        h_est = estimated_noise_filter(pm)
+        h_est = invert_monic_noise_filter(model_file.noise_filter)
         true_h = None
         if cfg["truth"]:
             truth = ModelFile.load(cfg["truth"])

@@ -106,12 +106,11 @@ def multisine(rng, T, rms, band=0.3):
     if not 1 <= n_tones <= (T - 1) // 2:
         raise ValueError("band must leave at least one excitable line below Nyquist")
     amplitude = rms * np.sqrt(2.0 / n_tones)
-    t = np.arange(T)
-    k = np.arange(1, n_tones + 1)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_tones)
-    return amplitude * np.cos(
-        2.0 * np.pi * t[:, np.newaxis] * k / T + phases
-    ).sum(axis=1)
+    # sum_k cos(2 pi k t / T + phase_k) as an inverse FFT of the line spectrum
+    spectrum = np.zeros(T // 2 + 1, dtype=complex)
+    spectrum[1 : n_tones + 1] = np.exp(1j * phases)
+    return (amplitude * T / 2) * np.fft.irfft(spectrum, n=T)
 
 
 @dataclass

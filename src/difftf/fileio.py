@@ -110,26 +110,6 @@ def read_dataset(path):
     return u, out, kind
 
 
-def write_signal_csv(path, signal):
-    """One row per time step, one column per channel (single-batch signals)."""
-    from .tf_core import Signal
-
-    if not isinstance(signal, Signal):
-        signal = Signal(signal)
-    if signal.batch != 1:
-        raise ValueError("signal CSV holds a single batch element")
-    header = [f"ch{c}" for c in range(signal.channels)]
-    write_csv(path, header, [signal.data[0, :, c] for c in range(signal.channels)])
-
-
-def read_signal_csv(path):
-    from .tf_core import Signal
-
-    cols = read_csv(path)
-    data = np.column_stack([cols[name] for name in cols])
-    return Signal(data)
-
-
 def write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfc, log_ndtr
 
-from .tape import Parameter
-
 _LOG_P_FLOOR = np.log(1e-300)
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -46,17 +44,6 @@ class Quantizer:
 
     def to_config(self):
         return {"thresholds": self.thresholds.tolist()}
-
-
-class NoiseScale:
-    """Measurement-noise scale optimized through its logarithm (sigma > 0)."""
-
-    def __init__(self, sigma=1.0):
-        self.log_sigma_e = Parameter(np.log(float(sigma)), "noise.log_sigma_e")
-
-    @property
-    def sigma_e(self):
-        return float(np.exp(self.log_sigma_e.value))
 
 
 @dataclass
@@ -160,22 +147,13 @@ def quantized_loglik(y_sim, z, sigma, qz, diagnostics=None):
     underflow even in stable form are clamped at 1e-300 and counted in
     diagnostics, never returned as NaN.
     """
-    if isinstance(sigma, NoiseScale):
-        sigma = sigma.sigma_e
     y = np.asarray(y_sim, dtype=float).ravel()
     zz = np.asarray(z).ravel().astype(np.int64)
     if y.shape != zz.shape:
         raise ValueError("y_sim and z must have the same length")
     if zz.min() < 0 or zz.max() > qz.n_bins - 1:
         raise ValueError("bin indices out of range")
-    l, u = _standardized_bounds(y, zz, float(sigma), qz)
-    log_p = log_phi_cdf_diff(l, u)
-    clamped = log_p < _LOG_P_FLOOR
-    if np.any(clamped):
-        if diagnostics is not None:
-            diagnostics.clamped += int(np.count_nonzero(clamped))
-        log_p = np.where(clamped, _LOG_P_FLOOR, log_p)
-    return float(np.sum(log_p))
+    return _loglik_with_grads(y, zz, float(sigma), qz, diagnostics)[0]
 
 
 def quantized_loglik_terms(y_sim, z, sigma, qz):

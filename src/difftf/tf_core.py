@@ -72,66 +72,12 @@ class TransferFunction:
         return np.concatenate([[1.0], self.a])
 
 
-class Signal:
-    """Real time series of shape (batch, T, channels), zero prior history.
-
-    Accepts (T,), (T, channels) or (batch, T, channels) arrays; 1-D and 2-D
-    inputs are promoted to a single batch element. Values must be finite.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[np.newaxis, :, np.newaxis]
-        elif arr.ndim == 2:
-            arr = arr[np.newaxis, :, :]
-        elif arr.ndim != 3:
-            raise ValueError("signal data must be 1-D, 2-D or 3-D")
-        if arr.shape[1] < 1:
-            raise ValueError("signal length must be >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("signal values must be finite")
-        self.data = arr
-
-    @property
-    def batch(self):
-        return self.data.shape[0]
-
-    @property
-    def length(self):
-        return self.data.shape[1]
-
-    @property
-    def channels(self):
-        return self.data.shape[2]
-
-    def to_1d(self):
-        """The underlying series for a single-batch, single-channel signal."""
-        if self.batch != 1 or self.channels != 1:
-            raise ValueError("to_1d requires batch == 1 and channels == 1")
-        return self.data[0, :, 0]
-
-    def __len__(self):
-        return self.length
-
-    def __repr__(self):
-        return f"Signal(batch={self.batch}, length={self.length}, channels={self.channels})"
-
-
-def _coerce_series(u):
-    """Normalize a SISO series to (batch, T) rows plus a rebuild callback."""
-    if isinstance(u, Signal):
-        if u.channels != 1:
-            raise ValueError("expected a single-channel signal")
-        return u.data[:, :, 0], lambda rows: Signal(rows[:, :, np.newaxis])
+def _as_rows(u):
+    """A 1-D series or (batch, T) rows as (batch, T) float rows."""
     arr = np.asarray(u, dtype=float)
-    if arr.ndim == 1:
-        return arr[np.newaxis, :], lambda rows: rows[0]
-    if arr.ndim == 2:
-        return arr, lambda rows: rows
-    raise ValueError("expected a Signal or a 1-D/2-D array")
+    if arr.ndim not in (1, 2):
+        raise ValueError("expected a 1-D series or (batch, T) rows")
+    return np.atleast_2d(arr)
 
 
 def _raise_if_nonfinite(rows):
@@ -158,12 +104,11 @@ def filter_rows(params, rows):
 def filter_forward(params, u):
     """Apply y(t) = -sum_j a_j y(t-j) + sum_j b_j u(t-j-n_k), zero prior history.
 
-    u may be a single-channel Signal (any batch size; elements are filtered
-    independently) or a 1-D array. The output has the same form and length.
-    Raises FilterDivergenceError if the output leaves the finite range.
+    u is a 1-D series or (batch, T) rows filtered independently; the output
+    has the same shape. Raises FilterDivergenceError if the output leaves the
+    finite range.
     """
-    rows, rebuild = _coerce_series(u)
-    return rebuild(filter_rows(params, rows))
+    return filter_rows(params, _as_rows(u)).reshape(np.shape(u))
 
 
 def filter_forward_reference(params, u, *, count_mults=False):
@@ -172,7 +117,7 @@ def filter_forward_reference(params, u, *, count_mults=False):
     Uses exactly T * (n_b + n_a + 1) scalar multiplications per batch row; pass
     count_mults=True to get (y, mult_count) for cost assertions.
     """
-    rows, rebuild = _coerce_series(u)
+    rows = _as_rows(u)
     b, a, n_k = params.b, params.a, params.n_k
     n_rows, T = rows.shape
     out = np.zeros_like(rows)
@@ -192,7 +137,7 @@ def filter_forward_reference(params, u, *, count_mults=False):
                 mults += 1
             yn[t] = acc
     _raise_if_nonfinite(out)
-    y = rebuild(out)
+    y = out.reshape(np.shape(u))
     return (y, mults) if count_mults else y
 
 
@@ -215,7 +160,7 @@ def convolve_truncated(g, u):
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         raise ValueError("g must be a 1-D impulse-response vector")
-    rows, rebuild = _coerce_series(u)
+    rows = _as_rows(u)
     T = rows.shape[1]
     if g.size != T:
         raise ValueError(f"length mismatch: len(g)={g.size}, len(u)={T}")
@@ -223,19 +168,12 @@ def convolve_truncated(g, u):
     for i in range(T):
         lo = max(0, i + 1 - T)
         out[:, i] = rows[:, i - lo :: -1][:, : i - lo + 1] @ g[lo : i + 1]
-    return rebuild(out)
+    return out.reshape(np.shape(u))
 
 
 def flip(x):
-    """Time reversal: (flip(x))_t = x_{T-t-1}."""
-    if isinstance(x, Signal):
-        return Signal(x.data[:, ::-1, :].copy())
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr[::-1].copy()
-    if arr.ndim == 2:
-        return arr[:, ::-1].copy()
-    raise ValueError("expected a Signal or a 1-D/2-D array")
+    """Time reversal along the last axis: (flip(x))_t = x_{T-t-1}."""
+    return _as_rows(x)[:, ::-1].reshape(np.shape(x)).copy()
 
 
 def frequency_response(params, freqs):

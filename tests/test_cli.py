@@ -142,9 +142,10 @@ class TestTrain:
 
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"iterations": "many"}))
-        assert run(["train", "--config", cfg_path]) == 1
-        assert "iterations" in capsys.readouterr().err
+        for value in ("many", 2.7, float("inf")):
+            cfg_path.write_text(json.dumps({"iterations": value}))
+            assert run(["train", "--config", cfg_path]) == 1
+            assert "iterations" in capsys.readouterr().err
 
     def test_minibatch_samples_sequences(self, tmp_path):
         gen = tmp_path / "gen"
@@ -208,6 +209,16 @@ class TestEval:
         assert code == 0
         cols = read_csv(bode)
         assert {"frequency", "magnitude_db", "true_magnitude_db"} == cols.keys()
+
+    def test_eval_bode_of_noise_filter_without_delay_is_data_error(self, tmp_path, capsys):
+        # truth.json stores H itself (n_k = 0), not the strictly proper block Hc
+        gen = tmp_path / "gen"
+        assert run(["generate", "--kind", "wh-colored", "--T", 300, "--seed", 0,
+                    "--out", gen]) == 0
+        code = run(["eval", "--model", gen / "truth.json", "--data", gen / "test.csv",
+                    "--bode", tmp_path / "bode.csv", "--truth", gen / "truth.json"])
+        assert code == 3
+        assert "exactly one input delay" in capsys.readouterr().err
 
     def test_eval_of_unstable_filter_is_numeric_failure(self, rng, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -66,6 +66,18 @@ class TestMultisine:
         with pytest.raises(ValueError):
             multisine(rng, 64, 1.0, band=0.6)
 
+    @pytest.mark.parametrize("T, band", [(64, 0.3), (257, 0.49), (1000, 0.1), (4096, 0.3)])
+    def test_matches_dense_cosine_sum(self, T, band):
+        u = multisine(np.random.default_rng(7), T, 1.0, band)
+        n_tones = int(np.floor(band * T))
+        phases = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, n_tones)
+        t = np.arange(T)[:, np.newaxis]
+        k = np.arange(1, n_tones + 1)
+        # (t * k) % T in integers keeps the cosine arguments below 2 pi + phase
+        angle = 2.0 * np.pi * ((t * k) % T) / T + phases
+        dense = np.sqrt(2.0 / n_tones) * np.cos(angle).sum(axis=1)
+        assert np.abs(u - dense).max() < 1e-12
+
 
 class TestWhColored:
     def test_reproducible_from_seed(self):

@@ -67,24 +67,3 @@ class TestCsvRoundTrip:
         path.write_text("seq,t,u,y\n0,0,1.0,1.0\n2,0,1.0,1.0\n")
         with pytest.raises(ValueError, match="seq"):
             read_dataset(path)
-
-
-class TestSignalCsv:
-    def test_multichannel_round_trip(self, rng, tmp_path):
-        from difftf.fileio import read_signal_csv, write_signal_csv
-        from difftf.tf_core import Signal
-
-        sig = Signal(rng.normal(0.0, 1.0, (1, 25, 3)))
-        path = tmp_path / "sig.csv"
-        write_signal_csv(path, sig)
-        back = read_signal_csv(path)
-        assert np.array_equal(back.data, sig.data)
-        header = path.read_text().splitlines()[0]
-        assert header == "ch0,ch1,ch2"
-
-    def test_batched_signal_rejected(self, rng, tmp_path):
-        from difftf.fileio import write_signal_csv
-        from difftf.tf_core import Signal
-
-        with pytest.raises(ValueError, match="single batch"):
-            write_signal_csv(tmp_path / "x.csv", Signal(rng.normal(0, 1, (2, 5, 1))))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from difftf.quantized import (
     LoglikDiagnostics,
-    NoiseScale,
     Quantizer,
     bin_probabilities,
     log_phi_cdf_diff,
@@ -219,11 +218,3 @@ class TestQuantizedLoglik:
     def test_bin_range_validated(self):
         with pytest.raises(ValueError, match="out of range"):
             quantized_loglik(np.zeros(2), np.array([0, 12]), 1.0, TWELVE_BIN)
-
-
-class TestNoiseScale:
-    def test_positive_by_construction(self):
-        ns = NoiseScale(0.25)
-        assert ns.sigma_e == pytest.approx(0.25)
-        ns.log_sigma_e.value = np.asarray(-40.0)
-        assert ns.sigma_e > 0.0

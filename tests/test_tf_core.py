@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from difftf.tf_core import (
     FilterDivergenceError,
-    Signal,
     TransferFunction,
     convolve_truncated,
     filter_forward,
@@ -103,12 +102,18 @@ class TestFilterForward:
             filter_forward(tf, np.ones(2000))
         assert err.value.t_index >= 0
 
-    def test_signal_round_trip(self):
-        tf = TransferFunction([1.0], [-0.5], 0)
-        sig = Signal(np.ones(8))
-        out = filter_forward(tf, sig)
-        assert isinstance(out, Signal)
-        assert out.length == 8
+    def test_rows_in_same_shape_out_other_ndim_rejected(self, rng):
+        tf = random_stable_tf(rng, 2, 2)
+        ops = (
+            lambda x: filter_forward(tf, x),
+            lambda x: convolve_truncated(impulse_response(tf, x.shape[-1]), x),
+            flip,
+        )
+        for op in ops:
+            for shape in ((9,), (3, 9)):
+                assert op(rng.normal(0.0, 1.0, shape)).shape == shape
+            with pytest.raises(ValueError):
+                op(rng.normal(0.0, 1.0, (2, 3, 9)))
 
 
 class TestImpulseResponse:
@@ -168,11 +173,6 @@ class TestFlip:
         x = np.asarray(values)
         assert np.array_equal(flip(flip(x)), x)
 
-    def test_signal_time_axis(self, rng):
-        sig = Signal(rng.normal(0.0, 1.0, (2, 5, 3)))
-        back = flip(flip(sig))
-        assert np.array_equal(back.data, sig.data)
-
 
 class TestOracleEquivalence:
     def test_filter_equals_convolution_up_to_256(self, rng):
@@ -205,10 +205,6 @@ class TestValidation:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             TransferFunction([1.0], [], -1)
-
-    def test_signal_requires_finite(self):
-        with pytest.raises(ValueError):
-            Signal([1.0, np.nan])
 
     def test_leading_one_not_stored(self):
         tf = TransferFunction([1.0], [-0.5], 0)
