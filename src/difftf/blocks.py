@@ -76,7 +76,7 @@ class MimoTransferFunction:
         return self._forward(x)[2]
 
     def apply(self, tape, x_node):
-        """Record one MIMO node; backward splits into per-cell SISO gradients."""
+        """Record one MIMO node; backward runs one reverse all-pole pass per cell."""
         b_node = tape.leaf(self.b)
         a_node = tape.leaf(self.a)
         x = x_node.value
@@ -90,18 +90,24 @@ class MimoTransferFunction:
             b_bar = np.zeros_like(self.b.value) if b_node.requires_grad else None
             a_bar = np.zeros_like(self.a.value) if a_node.requires_grad else None
             x_bar = np.zeros_like(x) if x_node.requires_grad else None
+            batch = x.shape[0]
+            pad = max(self.n_k + self.n_b, self.n_a)  # the largest lag
+            if b_bar is not None:
+                x_gap = [tf_grad.gapped(x[:, :, i], pad) for i in range(self.in_channels)]
             for o in range(self.out_channels):
                 g_o = g[:, :, o]
                 for i in range(self.in_channels):
                     cell = cells[o][i]
+                    # w = A^-T g_o, reversed back while copied into the gapped buffer
+                    all_pole = TransferFunction(np.ones(1), cell.a)
+                    w = tf_grad.gapped(tf_grad.grad_u_rows(all_pole, g_o), pad)
                     if b_bar is not None:
-                        sig = tf_grad.sens_b0_rows(cell, x[:, :, i])
-                        b_bar[o, i] = tf_grad.grad_b_rows(g_o, sig, self.n_b)
+                        b_bar[o, i] = tf_grad.grad_b_rows(w, x_gap[i], self.n_b, self.n_k)
                     if a_bar is not None and self.n_a > 0:
-                        sig = tf_grad.sens_a1_rows(cell, cell_y[o][i])
-                        a_bar[o, i] = tf_grad.grad_a_rows(g_o, sig, self.n_a)
+                        y_gap = tf_grad.gapped(cell_y[o][i], pad)
+                        a_bar[o, i] = tf_grad.grad_a_rows(w, y_gap, self.n_a)
                     if x_bar is not None:
-                        x_bar[:, :, i] += tf_grad.grad_u_rows(cell, g_o)
+                        x_bar[:, :, i] += tf_grad.ungapped(tf_grad.grad_x_rows(cell, w), batch, pad)
             return (b_bar, a_bar, x_bar)
 
         return tape.custom(y, (b_node, a_node, x_node), vjp, op="mimo_filter")

@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 
+_CSV_BLOCK_ROWS = 4096  # rows formatted per write, to bound the text held at once
+
 
 def write_csv(path, header, columns):
     """Write named columns (equal-length 1-D arrays) as CSV."""
@@ -23,16 +25,17 @@ def write_csv(path, header, columns):
         raise ValueError("all columns must have the same length")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(
-                ",".join(_format_cell(c[i]) for c in columns) + "\n"
-            )
+        # formatted a block of rows at a time, column by column
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            cells = [_column_cells(c[lo : lo + _CSV_BLOCK_ROWS]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _format_cell(v):
-    if isinstance(v, (np.integer, int)):
-        return str(int(v))
-    return repr(float(v))
+def _column_cells(col):
+    """Integers as integers, anything else as the repr of a Python float."""
+    if np.issubdtype(col.dtype, np.integer):
+        return map(str, col.tolist())
+    return map(repr, col.astype(float).tolist())
 
 
 def read_csv(path):

@@ -151,7 +151,10 @@ def _model_loss_factory(model, u, y):
 
 
 def check_model_gradients(rng, builders=("wh", "pwh"), T=64):
-    """FD check over every trainable scalar of freshly initialized models."""
+    """FD check over every trainable scalar of freshly initialized models.
+
+    Three rows, so that the filter backward is checked across row boundaries.
+    """
     rows = []
     for kind in builders:
         if kind == "wh":
@@ -160,8 +163,8 @@ def check_model_gradients(rng, builders=("wh", "pwh"), T=64):
             model = build_pwh(n_b=3, n_a=3, hidden=4, rng=rng)
         named = model.parameters()
         params = [p for _, p in named]
-        u = rng.normal(0.0, 1.0, (1, T, model.in_channels))
-        y = rng.normal(0.0, 1.0, (1, T, model.out_channels))
+        u = rng.normal(0.0, 1.0, (3, T, model.in_channels))
+        y = rng.normal(0.0, 1.0, (3, T, model.out_channels))
 
         tape = Tape()
         out = model.apply(tape, tape.constant(u))

@@ -112,8 +112,9 @@ def train(params, build_loss, config):
     """Full-batch gradient training of the given parameters.
 
     build_loss() must construct a fresh tape and return (tape, loss_node) for
-    the current parameter values. On filter divergence the last finite iterate
-    is restored, the learning rate halved and training continues, up to
+    the current parameter values. On filter divergence, in the forward or the
+    backward pass, the last iterate whose both passes succeeded is restored,
+    the learning rate halved and training continues, up to
     config.max_lr_halvings times; after that TrainingDivergedError is raised.
     The parameters are left at the best-loss snapshot.
     """
@@ -133,11 +134,15 @@ def train(params, build_loss, config):
 
     it = 0
     while it < config.iterations:
+        # forward and backward under one guard: a filter may diverge in either
         try:
             tape, loss = build_loss()
             loss_value = float(loss.value)
             if not np.isfinite(loss_value):
                 raise FilterDivergenceError(-1)
+            for p in params:
+                p.grad = np.zeros_like(p.value)
+            tape.backward(loss)
         except FilterDivergenceError:
             restores += 1
             if restores > config.max_lr_halvings:
@@ -156,12 +161,10 @@ def train(params, build_loss, config):
             best_it = it
         if improved or last_gain < 0:
             last_gain = it
+        # snapshot only an iterate whose forward and backward both succeeded,
+        # so a retry restarts from it and not from the iterate that diverged
         last_snap = _snapshot(params)
         last_adam = adam.state()
-
-        for p in params:
-            p.grad = np.zeros_like(p.value)
-        tape.backward(loss)
         adam.step()
 
         if config.log_every and (it + 1) % config.log_every == 0:

@@ -1,10 +1,22 @@
-"""Row kernels of the filter backward pass, called by MimoTransferFunction's vjp.
+"""Kernels of the filter backward pass, called by MimoTransferFunction's vjp.
 
-Given the loss gradient with respect to one filter's output rows (y_bar),
-they compute the gradients with respect to the numerator coefficients b, the
-denominator coefficients a, and the input rows u. Coefficient gradients
-reduce to one all-pole filtering (the sensitivity series) plus shifted dot
-products; the input gradient is the reverse-time filtering trick.
+The vjp runs in adjoint form. With y = B(q)/A(q) x(t - n_k) and the loss
+gradient g with respect to y, one reverse all-pole pass w = A^-T g (the
+transpose of the lower-triangular Toeplitz matrix of 1/A) gives all three
+adjoints from taps and lagged dot products, by <g, F u> = <F^T g, u>:
+
+    b_bar_j = sum_t w(t) x(t - j - n_k)       j = 0..n_b
+    a_bar_j = -sum_t w(t) y(t - j)            j = 1..n_a
+    x_bar(t) = sum_j b_j w(t + j + n_k)       (B^T, a FIR correlation)
+
+The lag reductions run on gapped buffers: the rows laid end to end in one
+flat array with `pad` zeros before each row and after the last, pad at least
+the largest lag. A lag then never reads across a row boundary, so each lag
+is one dot over the whole batch.
+
+sens_b0_rows and sens_a1_rows give the sensitivity form of the same
+gradients (b_bar_j = sum_t g(t) sigma_b0(t - j), likewise for a): an
+independent oracle for the tests, not used by the vjp.
 """
 
 from __future__ import annotations
@@ -33,34 +45,54 @@ def sens_a1_rows(params, y_rows):
     return -filter_rows(delayed_all_pole, y_rows)
 
 
-def grad_b_rows(y_bar_rows, sigma_b0_rows, n_b):
-    """b_bar_j = sum_{t=j}^{T-1} y_bar_t sigma_b0(t - j), summed over batch rows."""
-    T = y_bar_rows.shape[1]
-    if n_b >= T:
-        raise ValueError("n_b must be smaller than the series length")
-    out = np.zeros(n_b + 1)
-    for row in range(y_bar_rows.shape[0]):
-        yb = y_bar_rows[row]
-        sb = sigma_b0_rows[row]
-        for j in range(n_b + 1):
-            out[j] += np.dot(yb[j:], sb[: T - j])
-    return out
+def gapped(rows, pad):
+    """(batch, T) rows end to end in one flat buffer, pad zeros before each row and after the last."""
+    batch, T = rows.shape
+    flat = np.zeros(batch * (pad + T) + pad)
+    ungapped(flat, batch, pad)[...] = rows
+    return flat
 
 
-def grad_a_rows(y_bar_rows, sigma_a1_rows, n_a):
-    """a_bar_j = sum_{t=j-1}^{T-1} y_bar_t sigma_a1(t - j + 1), j = 1..n_a."""
-    T = y_bar_rows.shape[1]
-    if n_a >= T:
-        raise ValueError("n_a must be smaller than the series length")
-    out = np.zeros(n_a)
-    for row in range(y_bar_rows.shape[0]):
-        yb = y_bar_rows[row]
-        sa = sigma_a1_rows[row]
-        for j in range(1, n_a + 1):
-            out[j - 1] += np.dot(yb[j - 1 :], sa[: T - j + 1])
-    return out
+def ungapped(flat, batch, pad):
+    """The (batch, T) view of the rows in a gapped buffer."""
+    width = (flat.size - pad) // batch
+    return flat[pad:].reshape(batch, width)[:, : width - pad]
+
+
+def _lag_dots(w, s, lags):
+    """sum_k w[k] s[k - L] for each lag L, on gapped buffers of one layout."""
+    n = w.size
+    return np.array([np.dot(w[L:], s[: n - L]) for L in lags])
+
+
+def grad_b_rows(w, x, n_b, n_k):
+    """b_bar_j = sum over rows and t of w(t) x(t - j - n_k), j = 0..n_b.
+
+    w (the adjoint A^-T g) and x are gapped with pad >= n_k + n_b.
+    """
+    return _lag_dots(w, x, range(n_k, n_k + n_b + 1))
+
+
+def grad_a_rows(w, y, n_a):
+    """a_bar_j = -sum over rows and t of w(t) y(t - j), j = 1..n_a.
+
+    w and the forward output y are gapped with pad >= n_a.
+    """
+    return -_lag_dots(w, y, range(1, n_a + 1))
+
+
+def grad_x_rows(params, w):
+    """x_bar(t) = sum_j b_j w(t + j + n_k) as a gapped buffer, w gapped with pad >= n_k + n_b.
+
+    The correlation reads zeros past the end, so the last row's tail is exact.
+    """
+    h = params.full_numerator()
+    return np.correlate(w, h, "full")[h.size - 1 :]
 
 
 def grad_u_rows(params, y_bar_rows):
-    """u_bar = flip(G(q) flip(y_bar)): the O(T) reverse-time filtering form."""
-    return filter_rows(params, y_bar_rows[:, ::-1])[:, ::-1].copy()
+    """u_bar = flip(G(q) flip(y_bar)): the O(T) reverse-time filtering form.
+
+    Returns a time-reversed view of the filtered array, not a copy.
+    """
+    return filter_rows(params, y_bar_rows[:, ::-1])[:, ::-1]

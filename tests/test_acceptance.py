@@ -193,6 +193,7 @@ def pwh_run(tmp_path_factory):
     return data, run, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 class TestCriterion5WhColoredRecovery:
     def test_5a_simulation_fit_on_noiseless_holdout(self, wh_run):
         data, run, elapsed = wh_run
@@ -257,6 +258,7 @@ class TestCriterion5WhColoredRecovery:
               f"{'(>= 90 ok)' if fit >= 90 else '(below 90, investigate)'}")
 
 
+@pytest.mark.slow
 class TestCriterion6PwhQuantizedRecovery:
     def test_6a_latent_fit_on_heldout_multisine(self, pwh_run):
         data, run, elapsed = pwh_run

@@ -14,6 +14,31 @@ class TestCsvRoundTrip:
         assert np.array_equal(cols["u"], u)
         assert np.array_equal(cols["t"], t.astype(float))
 
+    def test_column_writer_bytes_equal_per_cell_formatting(self, rng, tmp_path):
+        def format_cell(v):
+            if isinstance(v, (np.integer, int)):
+                return str(int(v))
+            return repr(float(v))
+
+        n = 5000  # more rows than one formatting block
+        columns = [
+            rng.integers(-5, 5, n),
+            rng.normal(0.0, 1.0, n),
+            rng.normal(0.0, 1.0, n).astype(np.float32),
+            rng.random(n) < 0.5,
+            np.where(rng.random(n) < 0.5, -0.0, np.inf),
+        ]
+        header = ["i", "f64", "f32", "bool", "negzero"]
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(format_cell(c[k]) for c in columns) + "\n" for k in range(n)
+        )
+        path = tmp_path / "x.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes() == expected.encode()
+        assert "-0.0" in expected and "1.0" in expected
+        write_csv(path, header, [c[:0] for c in columns])
+        assert path.read_bytes() == (",".join(header) + "\n").encode()
+
     def test_single_sequence_dataset(self, rng, tmp_path):
         path = tmp_path / "d.csv"
         u = rng.normal(0.0, 1.0, 30)

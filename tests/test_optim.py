@@ -159,6 +159,30 @@ class TestTrain:
         assert result.lr_final == pytest.approx(0.1)
         assert result.iterations_run == 30
 
+    def test_divergence_in_backward_pass_restores_previous_iterate(self):
+        p = Parameter(np.array([1.0]), "p")
+        seen = []  # the iterate each forward pass ran at
+
+        def build_loss():
+            seen.append(p.value.copy())
+            tape = Tape()
+            leaf = tape.leaf(p)
+
+            def vjp(g):
+                if len(seen) == 3:  # the third iterate's filter diverges in its backward pass
+                    raise FilterDivergenceError(7)
+                return (2.0 * g * leaf.value,)
+
+            return tape, tape.custom(float(np.sum(leaf.value**2)), (leaf,), vjp, op="diverging")
+
+        result = train([p], build_loss, TrainConfig(iterations=10, lr=0.2))
+        assert result.divergence_restores == 1
+        assert result.lr_final == pytest.approx(0.1)
+        assert result.iterations_run == 10
+        assert len(result.loss_trace) == 10
+        # the retry restarts from the last iterate whose backward succeeded
+        assert np.array_equal(seen[3], seen[1])
+
     def test_unrecoverable_divergence_aborts_with_diagnostics(self):
         p = Parameter(np.array([1.0]), "p")
 

@@ -1,20 +1,61 @@
 import numpy as np
 import pytest
 
+from difftf.blocks import MimoTransferFunction
 from difftf.gradcheck import central_difference, filter_op_gradients, relative_errors
+from difftf.tape import Tape
 from difftf.tf_core import (
     TransferFunction,
     filter_forward,
+    filter_rows,
     flip,
     impulse_response,
     random_stable_tf,
 )
-from difftf.tf_grad import grad_a_rows, grad_b_rows, grad_u_rows, sens_a1_rows, sens_b0_rows
+from difftf.tf_grad import (
+    gapped,
+    grad_a_rows,
+    grad_b_rows,
+    grad_u_rows,
+    grad_x_rows,
+    sens_a1_rows,
+    sens_b0_rows,
+    ungapped,
+)
 
 
 def row(x):
     """A 1-D series as the single row of a (1, T) batch."""
     return np.asarray(x, dtype=float)[np.newaxis, :]
+
+
+def largest_lag(tf):
+    return max(tf.n_k + tf.n_b, tf.n_a)
+
+
+def adjoint_rows(tf, g_rows):
+    """w = A^-T g: the reverse all-pole pass the filter op's vjp runs per cell."""
+    return grad_u_rows(TransferFunction([1.0], tf.a), g_rows)
+
+
+def sensitivity_form(tf, x_rows, g_rows):
+    """Oracle: b, a and x adjoints of sum(g * G(q)x) in sensitivity form,
+    one dot per row per lag and a full reverse-time filter pass for x."""
+    T = x_rows.shape[1]
+    sig_b = sens_b0_rows(tf, x_rows)
+    sig_a = sens_a1_rows(tf, filter_rows(tf, x_rows))
+    b_bar = np.zeros(tf.n_b + 1)
+    a_bar = np.zeros(tf.n_a)
+    for g, sb, sa in zip(g_rows, sig_b, sig_a):
+        for j in range(min(tf.n_b + 1, T)):
+            b_bar[j] += np.dot(g[j:], sb[: T - j])
+        for j in range(1, min(tf.n_a, T) + 1):
+            a_bar[j - 1] += np.dot(g[j - 1 :], sa[: T - j + 1])
+    return b_bar, a_bar, grad_u_rows(tf, g_rows)
+
+
+def rel_gap(got, expected):
+    return np.abs(got - expected).max(initial=0.0) / max(np.abs(expected).max(initial=0.0), 1e-300)
 
 
 def weighted_loss(tf, u, w):
@@ -73,8 +114,8 @@ class TestGradB:
     def test_fir_case_is_cross_correlation(self, rng):
         tf = TransferFunction([0.2, 0.3, 0.4], [], 0)
         u = rng.normal(0.0, 1.0, 25)
-        w = rng.normal(0.0, 1.0, 25)
-        b_bar = grad_b_rows(row(w), sens_b0_rows(tf, row(u)), tf.n_b)
+        w = rng.normal(0.0, 1.0, 25)  # with A = 1 the adjoint w is the output gradient
+        b_bar = grad_b_rows(gapped(row(w), 2), gapped(row(u), 2), tf.n_b, tf.n_k)
         for j in range(3):
             assert b_bar[j] == pytest.approx(np.dot(w[j:], u[: 25 - j]), rel=1e-13)
 
@@ -84,7 +125,7 @@ class TestGradB:
         w = np.zeros(10)
         w[0] = 1.0
         sig = sens_b0_rows(tf, row(u))[0]
-        b_bar = grad_b_rows(row(w), row(sig), tf.n_b)
+        b_bar, _, _ = filter_op_gradients(tf, u, w)
         assert b_bar[0] == sig[0]
         assert np.array_equal(b_bar[1:], np.zeros(tf.n_b))
 
@@ -94,7 +135,9 @@ class TestGradB:
                                   rng.integers(0, 2), max_radius=0.9)
             u = rng.normal(0.0, 1.0, 32)
             w = rng.normal(0.0, 1.0, 32)
-            b_bar = grad_b_rows(row(w), sens_b0_rows(tf, row(u)), tf.n_b)
+            pad = largest_lag(tf)
+            w_gap = gapped(adjoint_rows(tf, row(w)), pad)
+            b_bar = grad_b_rows(w_gap, gapped(row(u), pad), tf.n_b, tf.n_k)
             fd = central_difference(
                 lambda b: weighted_loss(TransferFunction(b, tf.a, tf.n_k), u, w), tf.b
             )
@@ -109,14 +152,14 @@ class TestGradA:
         sig = sens_a1_rows(tf, row(y))[0]
         w = np.zeros(12)
         w[0] = 1.0
-        a_bar = grad_a_rows(row(w), row(sig), tf.n_a)
+        _, a_bar, _ = filter_op_gradients(tf, u, w)
         assert a_bar[0] == sig[0]
         assert np.array_equal(a_bar[1:], np.zeros(tf.n_a - 1))
 
     def test_zero_forward_output_gives_zero(self):
         tf = TransferFunction([1.0], [-0.4, 0.1], 0)
-        w = np.ones(15)
-        a_bar = grad_a_rows(row(w), sens_a1_rows(tf, np.zeros((1, 15))), 2)
+        w = gapped(adjoint_rows(tf, row(np.ones(15))), 2)
+        a_bar = grad_a_rows(w, gapped(np.zeros((1, 15)), 2), 2)
         assert np.array_equal(a_bar, np.zeros(2))
 
     def test_matches_finite_differences(self, rng):
@@ -127,7 +170,8 @@ class TestGradA:
             u = rng.normal(0.0, 1.0, 32)
             w = rng.normal(0.0, 1.0, 32)
             y = filter_forward(tf, u)
-            a_bar = grad_a_rows(row(w), sens_a1_rows(tf, row(y)), n_a)
+            pad = largest_lag(tf)
+            a_bar = grad_a_rows(gapped(adjoint_rows(tf, row(w)), pad), gapped(row(y), pad), n_a)
             fd = central_difference(
                 lambda a: weighted_loss(TransferFunction(tf.b, a, tf.n_k), u, w), tf.a
             )
@@ -239,12 +283,12 @@ class TestFilterGradients:
     def test_bundles_all_three_adjoints(self, rng):
         tf = random_stable_tf(rng, 3, 2, 1)
         u = rng.normal(0.0, 1.0, 40)
-        y = filter_forward(tf, u)
         w = rng.normal(0.0, 1.0, 40)
         b_bar, a_bar, u_bar = filter_op_gradients(tf, u, w)
-        assert np.array_equal(b_bar, grad_b_rows(row(w), sens_b0_rows(tf, row(u)), tf.n_b))
-        assert np.array_equal(a_bar, grad_a_rows(row(w), sens_a1_rows(tf, row(y)), tf.n_a))
-        assert np.array_equal(u_bar, grad_u_rows(tf, row(w))[0])
+        b_ref, a_ref, u_ref = sensitivity_form(tf, row(u), row(w))
+        assert rel_gap(b_bar, b_ref) <= 1e-12
+        assert rel_gap(a_bar, a_ref) <= 1e-12
+        assert rel_gap(u_bar, u_ref[0]) <= 1e-12
         assert b_bar.shape == tf.b.shape
         assert a_bar.shape == tf.a.shape
         assert np.all(np.isfinite(u_bar))
@@ -254,3 +298,85 @@ class TestFilterGradients:
         u = rng.normal(0.0, 1.0, 10)
         _, a_bar, _ = filter_op_gradients(tf, u, np.ones(10))
         assert a_bar.shape == (0,)
+
+
+# (n_b, n_a, n_k) on T = 12: n_k + n_b = T - 1 makes the zero padding exactly
+# as long as the largest lag; the last case makes n_a the largest lag
+GRID_ORDERS = [(11, 3, 0), (10, 3, 1), (9, 3, 2), (2, 11, 1)]
+
+
+def random_grid(rng, n_b, n_a, n_k):
+    """A 2x2 grid of random stable cells."""
+    block = MimoTransferFunction(2, 2, n_b, n_a, n_k)
+    for o in range(2):
+        for i in range(2):
+            tf = random_stable_tf(rng, n_b, n_a, n_k, max_radius=0.9)
+            block.b.value[o, i] = tf.b
+            block.a.value[o, i] = tf.a
+    return block
+
+
+def grid_gradients(block, u, g):
+    """b, a and u adjoints of sum(g * block(u)) through the recorded op."""
+    tape = Tape()
+    u_node = tape.input(u)
+    y = block.apply(tape, u_node)
+    loss = tape.custom(float(np.sum(g * y.value)), (y,), lambda s: (s * g,), op="weighted")
+    tape.backward(loss)
+    return block.b.grad, block.a.grad, u_node.adjoint
+
+
+class TestGridBackward:
+    """The batched adjoint-form vjp of a 2x2 grid on 3 rows."""
+
+    def test_gapped_round_trip_and_layout(self, rng):
+        rows = rng.normal(0.0, 1.0, (3, 5))
+        flat = gapped(rows, 2)
+        assert flat.shape == (3 * 7 + 2,)
+        assert np.array_equal(ungapped(flat, 3, 2), rows)
+        zeros = np.ones(flat.size, dtype=bool)
+        zeros[2:].reshape(3, 7)[:, :5] = False
+        assert np.array_equal(flat[zeros], np.zeros(3 * 2 + 2))
+
+    def test_input_adjoint_correlation_reads_zeros_past_every_row(self, rng):
+        tf = random_stable_tf(rng, 3, 0, 2)
+        w = rng.normal(0.0, 1.0, (3, 9))
+        got = ungapped(grad_x_rows(tf, gapped(w, largest_lag(tf))), 3, largest_lag(tf))
+        assert rel_gap(got, grad_u_rows(tf, w)) <= 1e-14
+
+    @pytest.mark.parametrize("n_b, n_a, n_k", GRID_ORDERS)
+    def test_matches_sensitivity_form_oracle(self, rng, n_b, n_a, n_k):
+        block = random_grid(rng, n_b, n_a, n_k)
+        u = rng.normal(0.0, 1.0, (3, 12, 2))
+        g = rng.normal(0.0, 1.0, (3, 12, 2))
+        b_bar, a_bar, u_bar = grid_gradients(block, u, g)
+        u_ref = np.zeros_like(u)
+        for o in range(2):
+            for i in range(2):
+                b_ref, a_ref, x_ref = sensitivity_form(block.cell(o, i), u[:, :, i], g[:, :, o])
+                assert rel_gap(b_bar[o, i], b_ref) <= 1e-12
+                assert rel_gap(a_bar[o, i], a_ref) <= 1e-12
+                u_ref[:, :, i] += x_ref
+        assert rel_gap(u_bar, u_ref) <= 1e-12
+
+    @pytest.mark.parametrize("n_b, n_a, n_k", GRID_ORDERS)
+    def test_matches_finite_differences(self, rng, n_b, n_a, n_k):
+        block = random_grid(rng, n_b, n_a, n_k)
+        u = rng.normal(0.0, 1.0, (3, 12, 2))
+        g = rng.normal(0.0, 1.0, (3, 12, 2))
+        b_bar, a_bar, u_bar = (v.copy() for v in grid_gradients(block, u, g))
+
+        def loss_with(param, value):
+            saved = param.value
+            param.value = value
+            try:
+                return float(np.sum(g * block.simulate(u)))
+            finally:
+                param.value = saved
+
+        fd_b = central_difference(lambda b: loss_with(block.b, b), block.b.value)
+        fd_a = central_difference(lambda a: loss_with(block.a, a), block.a.value)
+        fd_u = central_difference(lambda uu: float(np.sum(g * block.simulate(uu))), u)
+        assert relative_errors(b_bar, fd_b).max() <= 1e-5
+        assert relative_errors(a_bar, fd_a).max() <= 1e-5
+        assert relative_errors(u_bar, fd_u).max() <= 1e-5
