@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,67 +36,90 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# name -> (type, default); None default means "required unless in config"
+def _at_least(lo):
+    return (lambda v: v >= lo), f">= {lo}"
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices), "one of " + ", ".join(map(str, choices))
+
+
+def _positive_levels(text):
+    """True for "" (the default levels) or comma-separated positive numbers."""
+    if not text:
+        return True
+    try:
+        levels = [float(x) for x in text.split(",")]
+    except ValueError:
+        return False
+    return all(math.isfinite(x) and x > 0 for x in levels)
+
+
+_POSITIVE = (lambda v: v > 0), "> 0"
+
+# name -> (type, default, domain); a None default means "required unless in
+# config". A domain is (test, text): the value must pass test, text names the
+# domain in the usage error, and None allows any value. Floats must be finite.
 _GENERATE_KEYS = {
-    "kind": (str, None),
-    "T": (int, None),
-    "seed": (int, 0),
-    "out": (str, None),
-    "test_T": (int, 0),
-    "rms_levels": (str, ""),
-    "realizations": (int, 4),
-    "sigma_e": (float, 0.03),
-    "band": (float, 0.3),
+    "kind": (str, None, _one_of("wh-colored", "pwh-quantized")),
+    "T": (int, None, _at_least(1)),
+    "seed": (int, 0, _at_least(0)),
+    "out": (str, None, None),
+    "test_T": (int, 0, _at_least(0)),  # 0: half of T
+    "rms_levels": (str, "", (_positive_levels, "a comma-separated list of positive numbers")),
+    "realizations": (int, 4, _at_least(1)),
+    "sigma_e": (float, 0.03, _POSITIVE),
+    "band": (float, 0.3, ((lambda v: 0 < v < 0.5), "in (0, 0.5)")),
 }
 
 _TRAIN_KEYS = {
-    "data": (str, None),
-    "arch": (str, "wh"),
-    "loss": (str, "pem"),
-    "lr": (float, 1e-3),
-    "iterations": (int, 1000),
-    "seed": (int, 0),
-    "normalize": (int, 1),
-    "out": (str, None),
-    "n_b": (int, 0),
-    "n_a": (int, 0),
-    "n_k": (int, -1),
-    "hidden": (int, 10),
-    "fir_taps": (int, 20),
-    "noise_n_b": (int, 2),
-    "noise_n_a": (int, 2),
-    "quantizer": (str, ""),
-    "init_sigma": (float, 0.1),
-    "test_data": (str, ""),
-    "plateau_patience": (int, 0),
-    "plateau_rtol": (float, 1e-5),
-    "log_every": (int, 0),
-    "batch_size": (int, 0),
+    "data": (str, None, None),
+    "arch": (str, "wh", _one_of("wh", "pwh", "fir")),
+    "loss": (str, "pem", _one_of("pem", "quantized", "mse")),
+    "lr": (float, 1e-3, _POSITIVE),
+    "iterations": (int, 1000, _at_least(0)),
+    "seed": (int, 0, _at_least(0)),
+    "normalize": (int, 1, _one_of(0, 1)),
+    "out": (str, None, None),
+    "n_b": (int, 0, _at_least(0)),  # 0: the architecture's default order
+    "n_a": (int, 0, _at_least(0)),  # 0: the architecture's default order
+    "n_k": (int, -1, _at_least(-1)),  # -1: the default, 0 (only --arch fir reads it)
+    "hidden": (int, 10, _at_least(1)),
+    "fir_taps": (int, 20, _at_least(1)),
+    "noise_n_b": (int, 2, _at_least(0)),
+    "noise_n_a": (int, 2, _at_least(0)),
+    "quantizer": (str, "", None),
+    "init_sigma": (float, 0.1, _POSITIVE),
+    "test_data": (str, "", None),
+    "plateau_patience": (int, 0, _at_least(0)),  # 0: no plateau stop
+    "plateau_rtol": (float, 1e-5, _at_least(0)),
+    "log_every": (int, 0, _at_least(0)),  # 0: no progress lines
+    "batch_size": (int, 0, _at_least(0)),  # 0: full batch
 }
 
 _EVAL_KEYS = {
-    "model": (str, None),
-    "data": (str, None),
-    "report": (str, ""),
-    "bode": (str, ""),
-    "truth": (str, ""),
+    "model": (str, None, None),
+    "data": (str, None, None),
+    "report": (str, "", None),
+    "bode": (str, "", None),
+    "truth": (str, "", None),
 }
 
 _GRADCHECK_KEYS = {
-    "seed": (int, 0),
-    "corrupt": (int, 0),
+    "seed": (int, 0, _at_least(0)),
 }
 
 
 def _add_config_args(parser, keys):
     parser.add_argument("--config", default=None, help="JSON config file")
-    for name, (typ, _default) in keys.items():
+    for name, (typ, _default, _domain) in keys.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
 
 
 def _resolve_config(args, keys):
-    """Merge defaults, config file and explicit flags; reject unknown keys."""
-    values = {name: default for name, (_t, default) in keys.items()}
+    """Merge defaults, config file and explicit flags; reject unknown keys and
+    values outside their setting's domain."""
+    values = {name: default for name, (_t, default, _d) in keys.items()}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -121,6 +145,12 @@ def _resolve_config(args, keys):
     missing = [name for name, v in values.items() if v is None]
     if missing:
         raise UsageError(f"missing required settings: {missing}")
+    for name, (typ, _default, domain) in keys.items():
+        value = values[name]
+        if typ is float and not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value!r}")
+        if domain is not None and not domain[0](value):
+            raise UsageError(f"{name} must be {domain[1]}, got {value!r}")
     return values
 
 
@@ -141,7 +171,7 @@ def cmd_generate(cfg):
         print(f"train y std {ds.y_train.std():.4f}, clean y std "
               f"{ds.y_clean_train.std():.4f}, noise std "
               f"{(ds.y_train - ds.y_clean_train).std():.4f}")
-    elif kind == "pwh-quantized":
+    else:
         levels = (
             tuple(float(x) for x in cfg["rms_levels"].split(","))
             if cfg["rms_levels"]
@@ -163,8 +193,6 @@ def cmd_generate(cfg):
         print(f"wrote {out}/train.csv ({ds.u.shape[0]} sequences x {ds.u.shape[1]} "
               f"samples), test.csv, truth.json, meta.json")
         print(f"bin occupancy: {counts.tolist()}")
-    else:
-        raise UsageError(f"unknown dataset kind: {kind}")
     return 0
 
 
@@ -178,20 +206,15 @@ def _build_model(cfg, in_channels, rng):
         return build_wh(n_b or 8, n_a or 8, hidden, rng)
     if arch == "pwh":
         return build_pwh(n_b or 12, n_a or 12, hidden, rng)
-    if arch == "fir":
-        taps = cfg["fir_taps"]
-        n_k = cfg["n_k"] if cfg["n_k"] >= 0 else 0
-        return BlockModel(
-            [MimoTransferFunction(1, in_channels, taps - 1, 0, n_k, rng=rng)]
-        )
-    raise UsageError(f"unknown architecture: {arch}")
+    n_k = cfg["n_k"] if cfg["n_k"] >= 0 else 0
+    return BlockModel(
+        [MimoTransferFunction(1, in_channels, cfg["fir_taps"] - 1, 0, n_k, rng=rng)]
+    )
 
 
 def cmd_train(cfg):
     u, out_col, kind = fileio.read_dataset(cfg["data"])
     loss_kind = cfg["loss"]
-    if loss_kind not in ("pem", "quantized", "mse"):
-        raise UsageError(f"unknown loss kind: {loss_kind}")
     if loss_kind == "quantized" and kind != "z":
         raise UsageError("quantized loss needs a dataset with a z column")
     if loss_kind != "quantized" and kind != "y":
@@ -383,7 +406,7 @@ def cmd_eval(cfg):
 
 
 def cmd_gradcheck(cfg):
-    rows = gradcheck.run_all(seed=cfg["seed"], corrupt=bool(cfg["corrupt"]))
+    rows = gradcheck.run_all(seed=cfg["seed"])
     width = max(len(r.name) for r in rows)
     failed = 0
     for r in rows:
@@ -401,26 +424,20 @@ def cmd_gradcheck(cfg):
 # -------------------------------------------------------------------- main
 
 
-def build_parser():
-    parser = _Parser(prog="difftf", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, keys in (
-        ("generate", _GENERATE_KEYS),
-        ("train", _TRAIN_KEYS),
-        ("eval", _EVAL_KEYS),
-        ("gradcheck", _GRADCHECK_KEYS),
-    ):
-        p = sub.add_parser(name)
-        _add_config_args(p, keys)
-    return parser
-
-
 _DISPATCH = {
     "generate": (cmd_generate, _GENERATE_KEYS),
     "train": (cmd_train, _TRAIN_KEYS),
     "eval": (cmd_eval, _EVAL_KEYS),
     "gradcheck": (cmd_gradcheck, _GRADCHECK_KEYS),
 }
+
+
+def build_parser():
+    parser = _Parser(prog="difftf", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_handler, keys) in _DISPATCH.items():
+        _add_config_args(sub.add_parser(name), keys)
+    return parser
 
 
 def main(argv=None):

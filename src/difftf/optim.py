@@ -9,6 +9,9 @@ import numpy as np
 
 from .tf_core import FilterDivergenceError
 
+# divergence restores, each halving the learning rate, before training gives up
+MAX_LR_HALVINGS = 5
+
 
 class TrainingDivergedError(RuntimeError):
     """Training could not recover from repeated filter divergence."""
@@ -75,14 +78,10 @@ class Adam:
 class TrainConfig:
     iterations: int = 1000
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     # 0 disables plateau stopping; otherwise stop once the best loss has not
     # improved by plateau_rtol (relative) within plateau_patience iterations
     plateau_patience: int = 0
     plateau_rtol: float = 1e-5
-    max_lr_halvings: int = 5
     log_every: int = 0
 
 
@@ -114,12 +113,12 @@ def train(params, build_loss, config):
     build_loss() must construct a fresh tape and return (tape, loss_node) for
     the current parameter values. On filter divergence, in the forward or the
     backward pass, the last iterate whose both passes succeeded is restored,
-    the learning rate halved and training continues, up to
-    config.max_lr_halvings times; after that TrainingDivergedError is raised.
+    the learning rate halved and training continues, up to MAX_LR_HALVINGS
+    times; after that TrainingDivergedError is raised.
     The parameters are left at the best-loss snapshot.
     """
     params = list(params)
-    adam = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
+    adam = Adam(params, config.lr)
     trace = []
     walls = []
     best_loss = np.inf
@@ -145,7 +144,7 @@ def train(params, build_loss, config):
             tape.backward(loss)
         except FilterDivergenceError:
             restores += 1
-            if restores > config.max_lr_halvings:
+            if restores > MAX_LR_HALVINGS:
                 raise TrainingDivergedError(restores, np.asarray(trace))
             _restore(params, last_snap)
             adam.restore(last_adam)

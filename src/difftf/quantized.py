@@ -42,9 +42,6 @@ class Quantizer:
     def uniform(cls, n_bins, lo, hi):
         return cls(np.linspace(lo, hi, n_bins + 1))
 
-    def to_config(self):
-        return {"thresholds": self.thresholds.tolist()}
-
 
 @dataclass
 class LoglikDiagnostics:

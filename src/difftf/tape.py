@@ -114,78 +114,33 @@ class Tape:
 
     def add(self, x, y):
         x, y = self._wrap(x), self._wrap(y)
-        return self._record(
-            Node(
-                x.value + y.value,
-                (x, y),
-                op="add",
-                requires_grad=x.requires_grad or y.requires_grad,
-                vjp=lambda g: (g, g),
-            )
-        )
+        return self.custom(x.value + y.value, (x, y), lambda g: (g, g), op="add")
 
     def sub(self, x, y):
         x, y = self._wrap(x), self._wrap(y)
-        return self._record(
-            Node(
-                x.value - y.value,
-                (x, y),
-                op="sub",
-                requires_grad=x.requires_grad or y.requires_grad,
-                vjp=lambda g: (g, -g),
-            )
-        )
+        return self.custom(x.value - y.value, (x, y), lambda g: (g, -g), op="sub")
 
     def scale(self, x, c):
         x = self._wrap(x)
         c = float(c)
-        return self._record(
-            Node(
-                c * x.value,
-                (x,),
-                op="scale",
-                requires_grad=x.requires_grad,
-                vjp=lambda g: (c * g,),
-            )
-        )
+        return self.custom(c * x.value, (x,), lambda g: (c * g,), op="scale")
 
     def square(self, x):
         x = self._wrap(x)
         xv = x.value
-        return self._record(
-            Node(
-                xv * xv,
-                (x,),
-                op="square",
-                requires_grad=x.requires_grad,
-                vjp=lambda g: (2.0 * xv * g,),
-            )
-        )
+        return self.custom(xv * xv, (x,), lambda g: (2.0 * xv * g,), op="square")
 
     def mean(self, x):
         x = self._wrap(x)
-        size = np.asarray(x.value).size
-        return self._record(
-            Node(
-                float(np.mean(x.value)),
-                (x,),
-                op="mean",
-                requires_grad=x.requires_grad,
-                vjp=lambda g: (np.full_like(np.asarray(x.value, dtype=float), g / size),),
-            )
-        )
+        xv = np.asarray(x.value, dtype=float)
+        return self.custom(float(np.mean(x.value)), (x,),
+                           lambda g: (np.full_like(xv, g / xv.size),), op="mean")
 
     def total(self, x):
         x = self._wrap(x)
-        return self._record(
-            Node(
-                float(np.sum(x.value)),
-                (x,),
-                op="sum",
-                requires_grad=x.requires_grad,
-                vjp=lambda g: (np.full_like(np.asarray(x.value, dtype=float), g),),
-            )
-        )
+        xv = np.asarray(x.value, dtype=float)
+        return self.custom(float(np.sum(x.value)), (x,),
+                           lambda g: (np.full_like(xv, g),), op="sum")
 
     # ---- custom operations ---------------------------------------------
 

@@ -17,7 +17,7 @@ from difftf.blocks import (
     static_nets_forward,
     static_nets_vjp,
 )
-from difftf.gradcheck import central_difference, relative_errors
+from difftf.gradcheck import mse_loss_on, parameter_errors
 from difftf.tape import Tape
 from difftf.tf_core import TransferFunction, filter_forward, random_stable_tf
 
@@ -28,6 +28,16 @@ def build_wide_nets(n_b=2, n_a=2, hidden=3, rng=None):
         Mlp(2, 4, 3, rng=rng),
         ParallelMlp([Mlp(1, 3, 1, rng=rng) for _ in range(3)]),
     ])
+
+
+def assert_model_gradients_pass(model, rng, T):
+    """FD check of every trainable scalar under an MSE loss on random (1, T) data."""
+    u = rng.normal(0.0, 1.0, (1, T, model.in_channels))
+    y_ref = rng.normal(0.0, 1.0, (1, T, model.out_channels))
+    named = model.parameters()
+    errs = parameter_errors([p for _, p in named], mse_loss_on(model, u, y_ref))
+    for (name, _), err in zip(named, errs):
+        assert err <= 1e-5, name
 
 
 class TestMimoForward:
@@ -226,60 +236,12 @@ class TestBuilders:
     def test_default_model_gradients_pass_finite_differences(self, rng, builder):
         """Every trainable scalar of the default-order models at T=64."""
         model = builder(rng=rng)
-        u = rng.normal(0.0, 1.0, (1, 64, model.in_channels))
-        y_ref = rng.normal(0.0, 1.0, (1, 64, model.out_channels))
-        named = model.parameters()
-        params = [p for _, p in named]
-
-        tape = Tape()
-        out = model.apply(tape, tape.constant(u))
-        loss = tape.mean(tape.square(tape.sub(tape.constant(y_ref), out)))
-        for p in params:
-            p.grad = np.zeros_like(p.value)
-        tape.backward(loss)
-
-        for name, p in named:
-            def f(v, target=p):
-                saved = target.value.copy()
-                try:
-                    target.value = v
-                    t2 = Tape()
-                    o = model.apply(t2, t2.constant(u))
-                    return t2.mean(t2.square(t2.sub(t2.constant(y_ref), o))).value
-                finally:
-                    target.value = saved
-
-            fd = central_difference(f, p.value)
-            assert relative_errors(p.grad, fd).max() <= 1e-5, name
+        assert_model_gradients_pass(model, rng, T=64)
 
     @pytest.mark.parametrize("builder", [build_wh, build_pwh, build_wide_nets])
     def test_full_model_gradients_pass_finite_differences(self, rng, builder):
         model = builder(n_b=2, n_a=2, hidden=3, rng=rng)
-        u = rng.normal(0.0, 1.0, (1, 64, model.in_channels))
-        y_ref = rng.normal(0.0, 1.0, (1, 64, model.out_channels))
-        named = model.parameters()
-        params = [p for _, p in named]
-
-        tape = Tape()
-        out = model.apply(tape, tape.constant(u))
-        loss = tape.mean(tape.square(tape.sub(tape.constant(y_ref), out)))
-        for p in params:
-            p.grad = np.zeros_like(p.value)
-        tape.backward(loss)
-
-        for name, p in named:
-            def f(v, target=p):
-                saved = target.value.copy()
-                try:
-                    target.value = v
-                    t2 = Tape()
-                    o = model.apply(t2, t2.constant(u))
-                    return t2.mean(t2.square(t2.sub(t2.constant(y_ref), o))).value
-                finally:
-                    target.value = saved
-
-            fd = central_difference(f, p.value)
-            assert relative_errors(p.grad, fd).max() <= 1e-5, name
+        assert_model_gradients_pass(model, rng, T=64)
 
 
 class TestPolyStatic:

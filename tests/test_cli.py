@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from difftf import gradcheck
 from difftf.cli import main
+from difftf.gradcheck import CheckRow
 from difftf.fileio import read_csv, read_dataset, read_json, write_dataset, write_json
 
 
@@ -263,9 +265,12 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_corrupted_gradient_fails_with_nonzero_exit(self, capsys):
-        assert run(["gradcheck", "--seed", 0, "--corrupt", 1]) == 2
-        assert "FAIL" in capsys.readouterr().out
+    def test_failing_row_prints_fail_and_exits_2(self, monkeypatch, capsys):
+        rows = [CheckRow("ok.row", 0.0, 1e-5), CheckRow("bad.row", 0.5, 1e-5)]
+        monkeypatch.setattr(gradcheck, "run_all", lambda seed=0: rows)
+        assert run(["gradcheck", "--seed", 0]) == 2
+        out = capsys.readouterr().out
+        assert "bad.row" in out and "FAIL" in out and "1 gradient check(s) failed" in out
 
     def test_same_seed_same_table(self, capsys):
         run(["gradcheck", "--seed", 3])
@@ -281,3 +286,54 @@ class TestUsage:
 
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("base, bad", [
+        ("generate-pwh", ["--realizations", 0]),
+        ("generate-wh", ["--T", 0]),
+        ("generate-wh", ["--test-T", -5]),
+        ("generate-pwh", ["--sigma-e", -1]),
+        ("generate-pwh", ["--band", 0.6]),
+        ("generate-pwh", ["--rms-levels", "0.5,-1"]),
+        ("train-pem", ["--hidden", 0]),
+        ("train-pem", ["--hidden", -1]),
+        ("train-quantized", ["--init-sigma", -1]),
+        ("train-quantized", ["--init-sigma", 0]),
+        ("train-pem", ["--lr", "nan"]),
+        ("train-pem", ["--lr", "inf"]),
+        ("train-pem", ["--n-b", -1]),
+        ("train-pem", ["--n-a", -1]),
+        ("train-pem", ["--noise-n-b", -1]),
+        ("train-pem", ["--noise-n-a", -1]),
+        ("train-pem", ["--fir-taps", 0, "--arch", "fir"]),
+        ("train-pem", ["--iterations", -1]),
+        ("train-pem", ["--plateau-patience", -1]),
+        ("train-pem", ["--log-every", -1]),
+        ("gradcheck", ["--seed", -1]),
+    ])
+    def test_out_of_range_setting_is_usage_error_before_any_work(
+        self, tmp_path, capsys, base, bad
+    ):
+        out = tmp_path / "out"
+        gen = tmp_path / "gen"
+        if base.startswith("generate"):
+            kind = "pwh-quantized" if base == "generate-pwh" else "wh-colored"
+            argv = ["generate", "--kind", kind, "--T", 64, "--realizations", 1, "--out", out]
+        elif base == "train-pem":
+            assert run(["generate", "--kind", "wh-colored", "--T", 64, "--out", gen]) == 0
+            argv = ["train", "--data", gen / "train.csv", "--arch", "wh", "--n-b", 2,
+                    "--n-a", 2, "--hidden", 3, "--loss", "pem", "--iterations", 2,
+                    "--out", out]
+        elif base == "train-quantized":
+            assert run(["generate", "--kind", "pwh-quantized", "--T", 64,
+                        "--realizations", 1, "--out", gen]) == 0
+            argv = ["train", "--data", gen / "train.csv", "--arch", "pwh", "--n-b", 2,
+                    "--n-a", 2, "--hidden", 3, "--loss", "quantized",
+                    "--quantizer", gen / "meta.json", "--iterations", 2, "--out", out]
+        else:
+            argv = ["gradcheck"]
+        capsys.readouterr()
+        assert run(argv + bad) == 1
+        captured = capsys.readouterr()
+        setting = bad[0][2:].replace("-", "_")
+        assert "usage error" in captured.err and setting in captured.err
+        assert captured.out == "" and not out.exists()

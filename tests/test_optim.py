@@ -191,7 +191,7 @@ class TestTrain:
 
         with pytest.raises(TrainingDivergedError) as err:
             train([p], always_diverges, TrainConfig(iterations=10, lr=0.1))
-        assert err.value.restores == 6  # max_lr_halvings + 1
+        assert err.value.restores == 6  # MAX_LR_HALVINGS + 1
 
     def test_best_iteration_names_restored_iterate_below_plateau_rtol(self):
         # the last two decreases are smaller than plateau_rtol
