@@ -22,7 +22,7 @@ from .blocks import BlockModel, MimoTransferFunction, ModelFile, Normalization, 
 from .metrics import fit_index, rmse
 from .optim import TrainConfig, TrainingDivergedError, train
 from .pem import PemModel, bode_magnitude_table, invert_monic_noise_filter
-from .quantized import Quantizer, quantized_loglik_node
+from .quantized import LoglikDiagnostics, Quantizer, quantized_loglik_node
 from .tape import Parameter, Tape
 from .tf_core import FilterDivergenceError
 
@@ -159,18 +159,11 @@ def _resolve_config(args, keys):
 
 def cmd_generate(cfg):
     kind = cfg["kind"]
-    out = fileio.ensure_dir(cfg["out"])
+    # the dataset is built in memory before the output directory is made, so
+    # settings the generator rejects leave nothing behind
     if kind == "wh-colored":
         ds = datagen.generate_wh_colored(cfg["seed"], cfg["T"], cfg["test_T"] or None)
-        fileio.write_dataset(os.path.join(out, "train.csv"), ds.u_train, y=ds.y_train)
-        fileio.write_dataset(os.path.join(out, "test.csv"), ds.u_test, y=ds.y_test)
-        ds.truth.save(os.path.join(out, "truth.json"))
-        fileio.write_json(os.path.join(out, "meta.json"), ds.truth.meta)
-        print(f"wrote {out}/train.csv ({ds.u_train.size} rows), test.csv "
-              f"({ds.u_test.size} rows), truth.json, meta.json")
-        print(f"train y std {ds.y_train.std():.4f}, clean y std "
-              f"{ds.y_clean_train.std():.4f}, noise std "
-              f"{(ds.y_train - ds.y_clean_train).std():.4f}")
+        u_train, train_out = ds.u_train, {"y": ds.y_train}
     else:
         levels = (
             tuple(float(x) for x in cfg["rms_levels"].split(","))
@@ -185,10 +178,19 @@ def cmd_generate(cfg):
             band=cfg["band"],
             sigma_e=cfg["sigma_e"],
         )
-        fileio.write_dataset(os.path.join(out, "train.csv"), ds.u, z=ds.z)
-        fileio.write_dataset(os.path.join(out, "test.csv"), ds.u_test, y=ds.y_test)
-        ds.truth.save(os.path.join(out, "truth.json"))
-        fileio.write_json(os.path.join(out, "meta.json"), ds.truth.meta)
+        u_train, train_out = ds.u, {"z": ds.z}
+    out = fileio.ensure_dir(cfg["out"])
+    fileio.write_dataset(os.path.join(out, "train.csv"), u_train, **train_out)
+    fileio.write_dataset(os.path.join(out, "test.csv"), ds.u_test, y=ds.y_test)
+    ds.truth.save(os.path.join(out, "truth.json"))
+    fileio.write_json(os.path.join(out, "meta.json"), ds.truth.meta)
+    if kind == "wh-colored":
+        print(f"wrote {out}/train.csv ({ds.u_train.size} rows), test.csv "
+              f"({ds.u_test.size} rows), truth.json, meta.json")
+        print(f"train y std {ds.y_train.std():.4f}, clean y std "
+              f"{ds.y_clean_train.std():.4f}, noise std "
+              f"{(ds.y_train - ds.y_clean_train).std():.4f}")
+    else:
         counts = np.bincount(ds.z.ravel(), minlength=ds.quantizer.n_bins)
         print(f"wrote {out}/train.csv ({ds.u.shape[0]} sequences x {ds.u.shape[1]} "
               f"samples), test.csv, truth.json, meta.json")
@@ -242,7 +244,7 @@ def cmd_train(cfg):
     params = []
     pm = None
     log_sigma = None
-    qz = None
+    diagnostics = LoglikDiagnostics()
     if loss_kind == "pem":
         pm = PemModel(model, cfg["noise_n_b"], cfg["noise_n_a"])
         named = pm.parameters()
@@ -257,11 +259,10 @@ def cmd_train(cfg):
         if "thresholds" not in qdoc:
             raise UsageError("quantizer JSON must contain a thresholds array")
         qz = Quantizer(np.asarray(qdoc["thresholds"], dtype=float))
-        z = out_col
-        bad = z[(z < 0) | (z >= qz.n_bins)]
-        if bad.size:
-            raise ValueError(f"{cfg['data']}: bin index {bad[0]} outside the quantizer's "
-                             f"{qz.n_bins} bins (0..{qz.n_bins - 1})")
+        try:
+            lo, hi = qz.bin_edges(out_col)
+        except ValueError as exc:
+            raise ValueError(f"{cfg['data']}: {exc}") from None
         log_sigma = Parameter(np.log(cfg["init_sigma"]), "noise.log_sigma_e")
         named = model.parameters() + [("noise.log_sigma_e", log_sigma)]
     params = [p for _, p in named]
@@ -290,7 +291,7 @@ def cmd_train(cfg):
         if loss_kind == "mse":
             err = tape.sub(tape.constant(y_n[rows]), out_node)
             return tape, tape.mean(tape.square(err))
-        ll = quantized_loglik_node(tape, out_node, z[rows], log_sigma, qz)
+        ll = quantized_loglik_node(tape, out_node, lo[rows], hi[rows], log_sigma, diagnostics)
         return tape, tape.scale(ll, -1.0 / (u_b.shape[0] * u_b.shape[1]))
 
     tc = TrainConfig(
@@ -344,6 +345,9 @@ def cmd_train(cfg):
         "final_loss": float(result.loss_trace[-1]) if result.loss_trace.size else None,
         "best_loss": result.best_loss,
         "divergence_restores": int(result.divergence_restores),
+        "skipped_steps": int(result.skipped_steps),
+        "best_iteration": int(result.best_iteration),
+        "clamped_total": diagnostics.clamped,
         "wall_time_s": wall,
     }
     if kind == "y":

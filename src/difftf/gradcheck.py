@@ -185,10 +185,11 @@ def check_quantized_gradients(rng, T=256):
     qz = Quantizer.uniform(12, -1.0, 1.0)
     y_sim = Parameter(rng.uniform(-0.9, 0.9, (1, T, 1)), "y_sim")
     z = quantize(y_sim.value + rng.normal(0.0, 0.1, y_sim.value.shape), qz)
+    lo, hi = qz.bin_edges(z)
     log_sigma = Parameter(np.log(0.1), "log_sigma")
     err_y, err_s = parameter_errors(
         [y_sim, log_sigma],
-        lambda tape: quantized_loglik_node(tape, tape.leaf(y_sim), z, log_sigma, qz),
+        lambda tape: quantized_loglik_node(tape, tape.leaf(y_sim), lo, hi, log_sigma),
     )
     return [
         CheckRow("quantized.grad_y_sim", err_y, GRAD_TOL),

@@ -4,9 +4,11 @@ A quantizer is an ascending threshold sequence q_0 < ... < q_K defining K
 half-open bins (q_m, q_{m+1}]. For likelihood purposes the outermost bins are
 unbounded (values can saturate past the physical range), so bin 0 integrates
 from -inf and bin K-1 to +inf. The per-sample log-likelihood is
-log(Phi(u_t) - Phi(l_t)) with standardized bin edges; it is evaluated in the
-log domain because the naive difference underflows long before the optimum is
-reached on coarsely quantized data.
+log(Phi(u_t) - Phi(l_t)) with standardized bin edges. One pass takes the
+difference of normal CDFs in the linear domain, where it keeps its digits,
+and redoes in the log domain only the samples where it cancels or nears
+underflow; the naive difference everywhere would underflow long before the
+optimum is reached on coarsely quantized data.
 """
 
 from __future__ import annotations
@@ -14,10 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfc, log_ndtr
+from scipy.special import erf, erfc, log_ndtr, ndtr
 
 _LOG_P_FLOOR = np.log(1e-300)
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# the linear difference ndtr(b) - ndtr(a) is used unless it cancels below
+# _CANCEL * ndtr(b) or b lies below _TAIL_CUT; ndtr is relative-accurate
+# down to about -37 and underflows past -37.5
+_CANCEL = 1e-3
+_TAIL_CUT = -20.0
+_PDF_CLIP = 60.0
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,22 @@ class Quantizer:
     @classmethod
     def uniform(cls, n_bins, lo, hi):
         return cls(np.linspace(lo, hi, n_bins + 1))
+
+    def bin_edges(self, z):
+        """Edges (lo, hi) of each sample's bin, shaped like z; outer edges +-inf.
+
+        The one range check of bin indices: z outside 0..n_bins-1 is a
+        ValueError.
+        """
+        z = np.asarray(z)
+        if z.size and (z.min() < 0 or z.max() >= self.n_bins):
+            bad = z[(z < 0) | (z >= self.n_bins)].flat[0]
+            raise ValueError(f"bin index {bad} out of range for the quantizer's "
+                             f"{self.n_bins} bins (0..{self.n_bins - 1})")
+        edges = self.thresholds.copy()
+        edges[0], edges[-1] = -np.inf, np.inf
+        z = z.astype(np.int64, copy=False)
+        return edges[z], edges[z + 1]
 
 
 @dataclass
@@ -78,62 +102,66 @@ def _log1mexp(delta):
     return out
 
 
+def _exact_log_p(a, b):
+    """log(Phi(b) - Phi(a)) for reflected bounds a < b with a + b <= 0.
+
+    Left tails (b <= 0) factor the dominant CDF and use log1p of the
+    complementary ratio; straddling bounds add the two erf halves, which
+    cannot cancel.
+    """
+    out = np.empty(a.shape)
+    left = b <= 0
+    hi, lo = log_ndtr(b[left]), log_ndtr(a[left])
+    out[left] = hi + _log1mexp(lo - hi)
+    mid = ~left
+    s2 = np.sqrt(2.0)
+    out[mid] = np.log(0.5 * (erf(b[mid] / s2) - erf(a[mid] / s2)))
+    return out
+
+
+def _log_p(l, u):
+    """(log P, P, exact) for P = Phi(u) - Phi(l) over flat arrays l < u.
+
+    The bounds are reflected without branches: (a, b) = (min(l, -u),
+    min(u, -l)) spans the same probability, so every sample is a left tail or
+    straddles 0. The bulk takes P = ndtr(b) - ndtr(a) and its log. Only the
+    samples in `exact` are redone in the log domain: those whose difference
+    cancels (P < _CANCEL * ndtr(b)) and those whose CDF nears the underflow
+    floor (b < _TAIL_CUT). P is not meaningful at those indices.
+    """
+    a = np.minimum(l, -u)
+    b = np.minimum(u, -l)
+    cdf_b = ndtr(b)
+    p = cdf_b - ndtr(a)
+    cdf_b *= _CANCEL
+    exact = np.flatnonzero((p < cdf_b) | (b < _TAIL_CUT))
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    if exact.size:
+        log_p[exact] = _exact_log_p(a[exact], b[exact])
+    return log_p, p, exact
+
+
 def log_phi_cdf_diff(l, u):
     """log(Phi(u) - Phi(l)) for l < u, stable in both tails.
 
-    Either bound may be infinite. Same-side tails factor the dominant CDF and
-    use log1p of the complementary ratio; straddling bounds add the two erf
-    halves, which cannot cancel.
+    Either bound may be infinite. This is the likelihood's own kernel: the
+    linear difference where it keeps its digits, the log domain elsewhere.
     """
     l = np.asarray(l, dtype=float)
     u = np.asarray(u, dtype=float)
     l, u = np.broadcast_arrays(l, u)
     if np.any(l >= u):
         raise ValueError("lower bound must be strictly below upper bound")
-    out = np.empty(l.shape)
-
-    lower_inf = np.isneginf(l)
-    upper_inf = np.isposinf(u)
-    both_inf = lower_inf & upper_inf
-    out[both_inf] = 0.0
-    m = lower_inf & ~upper_inf
-    out[m] = log_ndtr(u[m])
-    m = upper_inf & ~lower_inf
-    out[m] = log_ndtr(-l[m])
-
-    finite = ~(lower_inf | upper_inf)
-    left = finite & (u <= 0)
-    if np.any(left):
-        hi, lo = log_ndtr(u[left]), log_ndtr(l[left])
-        out[left] = hi + _log1mexp(lo - hi)
-    right = finite & (l >= 0)
-    if np.any(right):
-        hi, lo = log_ndtr(-l[right]), log_ndtr(-u[right])
-        out[right] = hi + _log1mexp(lo - hi)
-    middle = finite & (l < 0) & (u > 0)
-    if np.any(middle):
-        s2 = np.sqrt(2.0)
-        out[middle] = np.log(
-            0.5 * (erf(u[middle] / s2) - erf(l[middle] / s2))
-        )
+    out = _log_p(l.ravel(), u.ravel())[0].reshape(l.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _standardized_bounds(y_sim, z, sigma, qz):
-    """Standardized bin edges (l, u) per sample, outer edges at +-inf."""
-    lo_table = qz.thresholds.copy()
-    lo_table[0] = -np.inf
-    hi_table = qz.thresholds.copy()
-    hi_table[-1] = np.inf
-    lo = lo_table[z]
-    hi = hi_table[z + 1]
-    return (lo - y_sim) / sigma, (hi - y_sim) / sigma
-
-
-def _log_normal_pdf(x):
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = -0.5 * x * x - _HALF_LOG_2PI
-    return np.where(np.isfinite(x), out, -np.inf)
+def _gauss(x):
+    """exp(-x^2 / 2): the normal pdf without its factor 1 / sqrt(2 pi)."""
+    g = x * x
+    g *= -0.5
+    return np.exp(g, out=g)
 
 
 def quantized_loglik(y_sim, z, sigma, qz, diagnostics=None):
@@ -145,61 +173,79 @@ def quantized_loglik(y_sim, z, sigma, qz, diagnostics=None):
     diagnostics, never returned as NaN.
     """
     y = np.asarray(y_sim, dtype=float).ravel()
-    zz = np.asarray(z).ravel().astype(np.int64)
+    zz = np.asarray(z).ravel()
     if y.shape != zz.shape:
         raise ValueError("y_sim and z must have the same length")
-    if zz.min() < 0 or zz.max() > qz.n_bins - 1:
-        raise ValueError("bin indices out of range")
-    return _loglik_with_grads(y, zz, float(sigma), qz, diagnostics)[0]
+    lo, hi = qz.bin_edges(zz)
+    return _loglik_with_grads(y, lo, hi, float(sigma), diagnostics)[0]
 
 
 def quantized_loglik_terms(y_sim, z, sigma, qz):
     """Per-sample log-likelihood terms (no clamping), for diagnostics/tests."""
     y = np.asarray(y_sim, dtype=float).ravel()
-    zz = np.asarray(z).ravel().astype(np.int64)
-    l, u = _standardized_bounds(y, zz, float(sigma), qz)
-    return log_phi_cdf_diff(l, u)
+    lo, hi = qz.bin_edges(np.asarray(z).ravel())
+    return log_phi_cdf_diff((lo - y) / sigma, (hi - y) / sigma)
 
 
-def _loglik_with_grads(y, zz, sigma, qz, diagnostics=None):
-    l, u = _standardized_bounds(y, zz, sigma, qz)
-    log_p = log_phi_cdf_diff(l, u)
-    clamped = log_p < _LOG_P_FLOOR
-    if np.any(clamped):
-        if diagnostics is not None:
-            diagnostics.clamped += int(np.count_nonzero(clamped))
-        log_p = np.where(clamped, _LOG_P_FLOOR, log_p)
-    # ratios exp(log pdf - log P) stay bounded: in deep tails they grow only
-    # linearly with the standardized bound (Mills ratio)
-    fin_l, fin_u = np.isfinite(l), np.isfinite(u)
-    rl = np.zeros_like(log_p)
-    ru = np.zeros_like(log_p)
-    rl[fin_l] = np.exp(_log_normal_pdf(l[fin_l]) - log_p[fin_l])
-    ru[fin_u] = np.exp(_log_normal_pdf(u[fin_u]) - log_p[fin_u])
-    d_y = (rl - ru) / sigma
-    d_log_sigma = np.zeros_like(log_p)
-    d_log_sigma[fin_l] += l[fin_l] * rl[fin_l]
-    d_log_sigma[fin_u] -= u[fin_u] * ru[fin_u]
+def _loglik_with_grads(y, lo, hi, sigma, diagnostics=None):
+    """Total log-likelihood, its gradient in y and its summed gradient in log sigma.
+
+    With standardized edges l, u and P = Phi(u) - Phi(l), the per-sample
+    gradients are (phi(l) - phi(u)) / (sigma P) and (l phi(l) - u phi(u)) / P.
+    """
+    l = lo - y
+    l /= sigma
+    u = hi - y
+    u /= sigma
+    log_p, p, exact = _log_p(l, u)
+    # past |x| = _PDF_CLIP, phi(x) / P is 0 in double precision even at the
+    # floor, so clipping leaves every ratio as it is and keeps x * ratio
+    # finite at the infinite outer edges
+    np.clip(l, -_PDF_CLIP, _PDF_CLIP, out=l)
+    np.clip(u, -_PDF_CLIP, _PDF_CLIP, out=u)
+    # rl, ru are sqrt(2 pi) phi(l) / P and sqrt(2 pi) phi(u) / P; the factor
+    # is taken out once at the end
+    rl, ru = _gauss(l), _gauss(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rl /= p
+        ru /= p
+    if exact.size:
+        log_p_x = log_p[exact]
+        clamped = log_p_x < _LOG_P_FLOOR
+        if np.any(clamped):
+            if diagnostics is not None:
+                diagnostics.clamped += int(np.count_nonzero(clamped))
+            log_p_x[clamped] = _LOG_P_FLOOR
+            log_p[exact] = log_p_x
+        # where P lost its digits the ratios are exp(-x^2 / 2 - log P); they
+        # stay bounded, growing only linearly in deep tails (Mills ratio)
+        rl[exact] = np.exp(-0.5 * l[exact] ** 2 - log_p_x)
+        ru[exact] = np.exp(-0.5 * u[exact] ** 2 - log_p_x)
+    d_y = rl - ru
+    d_y *= _INV_SQRT_2PI / sigma
+    d_log_sigma = _INV_SQRT_2PI * float(np.dot(l, rl) - np.dot(u, ru))
     return float(np.sum(log_p)), d_y, d_log_sigma
 
 
-def quantized_loglik_node(tape, y_sim_node, z, log_sigma, qz, diagnostics=None):
+def quantized_loglik_node(tape, y_sim_node, lo, hi, log_sigma, diagnostics=None):
     """Tape node for the total log-likelihood of quantized observations.
 
-    Gradients flow to the simulated output and to log-sigma. z must match the
-    flattened layout of the (batch, T, 1) simulated output.
+    lo and hi are the observed bins' edges, `Quantizer.bin_edges(z)`, shaped
+    like the simulated output. Gradients flow to the simulated output and to
+    log-sigma.
     """
     sigma_node = tape._wrap_raw(log_sigma)
     sigma = float(np.exp(sigma_node.value))
     y = y_sim_node.value
-    zz = np.asarray(z).reshape(y.shape).astype(np.int64)
+    if lo.size != y.size or hi.size != y.size:
+        raise ValueError("bin edges must have one entry per simulated sample")
     value, d_y, d_log_sigma = _loglik_with_grads(
-        y.ravel(), zz.ravel(), sigma, qz, diagnostics
+        y.ravel(), lo.ravel(), hi.ravel(), sigma, diagnostics
     )
 
     def vjp(g):
         y_bar = (g * d_y).reshape(y.shape) if y_sim_node.requires_grad else None
-        s_bar = g * float(np.sum(d_log_sigma)) if sigma_node.requires_grad else None
+        s_bar = g * d_log_sigma if sigma_node.requires_grad else None
         return (y_bar, s_bar)
 
     return tape.custom(value, (y_sim_node, sigma_node), vjp, op="quantized_loglik")
@@ -211,6 +257,5 @@ def bin_probabilities(y_sim, sigma, qz):
     out = np.empty((y.size, qz.n_bins))
     for m in range(qz.n_bins):
         z = np.full(y.shape, m, dtype=np.int64)
-        l, u = _standardized_bounds(y, z, float(sigma), qz)
-        out[:, m] = np.exp(log_phi_cdf_diff(l, u))
+        out[:, m] = np.exp(quantized_loglik_terms(y, z, sigma, qz))
     return out

@@ -3,11 +3,15 @@ numbers; the two training criteria run the full CLI pipelines on synthetic
 data and take several minutes each."""
 
 import os
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
+import difftf
 from difftf.blocks import ModelFile, build_wh
 from difftf.cli import main as cli_main
 from difftf.datagen import generate_pwh_quantized
@@ -153,44 +157,116 @@ def test_criterion_4_likelihood_normalization():
                   f"(tol 1e-12); 20 Monte-Carlo spots, worst {worst_se:.2f} SEs (<= 3)")
 
 
-@pytest.fixture(scope="module")
-def wh_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("wh_acceptance")
-    data = root / "data"
-    run = root / "run"
-    t0 = time.perf_counter()
-    assert cli_main([
-        "generate", "--kind", "wh-colored", "--T", "20000", "--test-T", "10000",
-        "--seed", "1", "--out", str(data),
-    ]) == 0
-    assert cli_main([
-        "train", "--data", str(data / "train.csv"), "--arch", "wh",
-        "--loss", "pem", "--lr", "1e-4", "--iterations", "40000",
-        "--plateau-patience", "8000", "--plateau-rtol", "1e-7",
-        "--seed", "0", "--out", str(run),
-        "--test-data", str(data / "test.csv"),
-    ]) == 0
-    return data, run, time.perf_counter() - t0
+def _wh_pipeline(data, run):
+    return [
+        ["generate", "--kind", "wh-colored", "--T", "20000", "--test-T", "10000",
+         "--seed", "1", "--out", str(data)],
+        ["train", "--data", str(data / "train.csv"), "--arch", "wh",
+         "--loss", "pem", "--lr", "1e-4", "--iterations", "40000",
+         "--plateau-patience", "8000", "--plateau-rtol", "1e-7",
+         "--seed", "0", "--out", str(run),
+         "--test-data", str(data / "test.csv")],
+    ]
+
+
+def _pwh_pipeline(data, run):
+    return [
+        ["generate", "--kind", "pwh-quantized", "--T", "4096",
+         "--realizations", "4", "--seed", "3", "--out", str(data)],
+        ["train", "--data", str(data / "train.csv"), "--arch", "pwh",
+         "--loss", "quantized", "--quantizer", str(data / "meta.json"),
+         "--lr", "1e-3", "--iterations", "4000", "--plateau-patience", "1200",
+         "--seed", "0", "--out", str(run),
+         "--test-data", str(data / "test.csv")],
+    ]
+
+
+PIPELINE_TIMEOUT_S = 3600
+
+
+class Pipeline:
+    """generate, then train, as `difftf.cli` subprocesses from a background thread.
+
+    Each subprocess uses one BLAS thread, so the two pipelines share the
+    cores without oversubscribing them.
+    """
+
+    def __init__(self, root, argvs):
+        self.data, self.run = root / "data", root / "run"
+        self.argvs = argvs(self.data, self.run)
+        self.failure = None
+        self.elapsed = None
+        self._proc = None
+        self._stopped = False
+        self._lock = threading.Lock()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        src = os.path.dirname(os.path.dirname(difftf.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        t0 = time.perf_counter()
+        for argv in self.argvs:
+            with self._lock:
+                if self._stopped:
+                    return
+                self._proc = subprocess.Popen(
+                    [sys.executable, "-m", "difftf.cli", *argv], env=env,
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            _, err = self._proc.communicate()
+            if self._proc.returncode:
+                self.failure = (f"`difftf {argv[0]}` exited {self._proc.returncode}; "
+                                f"stderr:\n{err}")
+                return
+        self.elapsed = time.perf_counter() - t0
+
+    def result(self):
+        """(data dir, run dir, seconds) once the pipeline is done; fails the test otherwise."""
+        self._thread.join(PIPELINE_TIMEOUT_S)
+        if self._thread.is_alive():
+            pytest.fail(f"pipeline still running after {PIPELINE_TIMEOUT_S} s")
+        if self.failure:
+            pytest.fail(self.failure)
+        return self.data, self.run, self.elapsed
+
+    def stop(self):
+        with self._lock:
+            self._stopped = True
+            if self._proc is not None and self._proc.poll() is None:
+                self._proc.kill()
+        self._thread.join(PIPELINE_TIMEOUT_S)
+
+
+PIPELINES = {"wh": _wh_pipeline, "pwh": _pwh_pipeline}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def pipelines(request, tmp_path_factory):
+    """The training pipelines, started together as soon as this module runs.
+
+    A pipeline starts only when a selected test reads its results (through
+    `wh_run` or `pwh_run`); the rest of the suite runs while they train, and
+    each criterion waits on its own pipeline.
+    """
+    started = {
+        name: Pipeline(tmp_path_factory.mktemp(f"{name}_acceptance"), argvs)
+        for name, argvs in PIPELINES.items()
+        if any(f"{name}_run" in item.fixturenames for item in request.session.items)
+    }
+    yield started
+    for pipeline in started.values():
+        pipeline.stop()
 
 
 @pytest.fixture(scope="module")
-def pwh_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("pwh_acceptance")
-    data = root / "data"
-    run = root / "run"
-    t0 = time.perf_counter()
-    assert cli_main([
-        "generate", "--kind", "pwh-quantized", "--T", "4096",
-        "--realizations", "4", "--seed", "3", "--out", str(data),
-    ]) == 0
-    assert cli_main([
-        "train", "--data", str(data / "train.csv"), "--arch", "pwh",
-        "--loss", "quantized", "--quantizer", str(data / "meta.json"),
-        "--lr", "1e-3", "--iterations", "4000", "--plateau-patience", "1200",
-        "--seed", "0", "--out", str(run),
-        "--test-data", str(data / "test.csv"),
-    ]) == 0
-    return data, run, time.perf_counter() - t0
+def wh_run(pipelines):
+    return pipelines["wh"].result()
+
+
+@pytest.fixture(scope="module")
+def pwh_run(pipelines):
+    return pipelines["pwh"].result()
 
 
 @pytest.mark.slow

@@ -50,6 +50,14 @@ class TestGenerate:
         assert run(["generate", "--kind", "nope", "--T", 10,
                     "--out", tmp_path / "x"]) == 1
 
+    def test_rejected_settings_leave_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        # T = 3 at the default band excites no line below Nyquist
+        assert run(["generate", "--kind", "pwh-quantized", "--T", 3,
+                    "--realizations", 1, "--out", out]) == 3
+        assert "excitable line" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_zero_iterations_echoes_initialization(self, rng, tmp_path):
@@ -160,6 +168,21 @@ class TestTrain:
                     "--lr", "1e-3", "--batch-size", 2, "--out", out])
         assert code == 0
         assert read_json(out / "report.json")["iterations"] == 8
+
+    @pytest.mark.parametrize("init_sigma,clamped", [("1e-6", True), ("0.1", False)])
+    def test_report_counts_clamped_likelihood_terms(self, tmp_path, init_sigma, clamped):
+        gen = tmp_path / "gen"
+        assert run(["generate", "--kind", "pwh-quantized", "--T", 64,
+                    "--realizations", 1, "--seed", 4, "--out", gen]) == 0
+        out = tmp_path / "run"
+        assert run(["train", "--data", gen / "train.csv", "--arch", "pwh",
+                    "--n-b", 2, "--n-a", 2, "--hidden", 3, "--loss", "quantized",
+                    "--quantizer", gen / "meta.json", "--iterations", 1,
+                    "--init-sigma", init_sigma, "--out", out]) == 0
+        report = read_json(out / "report.json")
+        assert (report["clamped_total"] > 0) == clamped
+        assert report["skipped_steps"] == 0 and report["best_iteration"] == 0
+        assert report["version"] == 1
 
     def test_minibatch_needs_multiple_sequences(self, rng, tmp_path):
         data = tmp_path / "d.csv"

@@ -3,17 +3,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from difftf.quantized import (
+    _CANCEL,
+    _LOG_P_FLOOR,
+    _TAIL_CUT,
     LoglikDiagnostics,
     Quantizer,
+    _log_p,
     bin_probabilities,
     log_phi_cdf_diff,
     phi_cdf,
     quantize,
     quantized_loglik,
+    quantized_loglik_node,
     quantized_loglik_terms,
 )
+from difftf.tape import Parameter, Tape
 
 TWELVE_BIN = Quantizer.uniform(12, -1.0, 1.0)
 
@@ -218,3 +226,151 @@ class TestQuantizedLoglik:
     def test_bin_range_validated(self):
         with pytest.raises(ValueError, match="out of range"):
             quantized_loglik(np.zeros(2), np.array([0, 12]), 1.0, TWELVE_BIN)
+
+
+def mp_grads(l, u, dps=60):
+    """(phi(l) - phi(u)) / P and (l phi(l) - u phi(u)) / P at high precision,
+    each with its difference's two terms (to spot cancellation)."""
+    with mpmath.workdps(dps):
+        def cdf(x):
+            return mpmath.mpf(0) if x == -np.inf else mpmath.ncdf(mpmath.mpf(x))
+
+        def pdf(x):
+            return mpmath.mpf(0) if abs(x) == np.inf else mpmath.npdf(mpmath.mpf(x))
+
+        def xpdf(x):
+            return mpmath.mpf(0) if abs(x) == np.inf else mpmath.mpf(x) * pdf(x)
+
+        # Phi(u) - Phi(l) from the tail that keeps the digits
+        if u <= 0:
+            p = cdf(u) - cdf(l)
+        elif l >= 0:
+            p = cdf(-l) - cdf(-u)
+        else:
+            p = 1 - cdf(l) - cdf(-u)
+        return (float((pdf(l) - pdf(u)) / p), (pdf(l), pdf(u)),
+                float((xpdf(l) - xpdf(u)) / p), (xpdf(l), xpdf(u)))
+
+
+def _cancel_width(ratio_of_cut, bin_at):
+    """Width w at which the bin bin_at(w) has P / ndtr(b) = ratio_of_cut * _CANCEL."""
+    def excess(w):
+        l, u = bin_at(w)
+        b = min(u, -l)
+        return (ndtr(u) - ndtr(l)) / ndtr(b) - ratio_of_cut * _CANCEL
+
+    return brentq(excess, 1e-9, 1.0, xtol=1e-300, rtol=1e-15)
+
+
+def _kernel_points():
+    """(l, u, takes the exact path) around every branch of the kernel."""
+    eps = 1e-6
+    pts = [
+        (-3.0, -2.0, False), (-9.0, -8.5, False), (-0.5, 1.5, False),
+        (-2.0, 0.1, False), (2.0, 3.0, False), (8.5, 9.0, False),
+        (-30.0, -29.5, True), (29.5, 30.0, True),
+        # either side of the tail cut, and its mirror image
+        (_TAIL_CUT - 0.5 + eps, _TAIL_CUT + eps, False),
+        (_TAIL_CUT - 0.5 - eps, _TAIL_CUT - eps, True),
+        (-_TAIL_CUT - eps, -_TAIL_CUT + 0.5 - eps, False),
+        (-_TAIL_CUT + eps, -_TAIL_CUT + 0.5 + eps, True),
+        # one infinite edge, on both sides of the tail cut, and both
+        (-np.inf, -1.0, False), (-np.inf, 2.0, False), (1.0, np.inf, False),
+        (-np.inf, _TAIL_CUT + eps, False), (-np.inf, _TAIL_CUT - eps, True),
+        (-_TAIL_CUT + eps, np.inf, True), (-25.0, np.inf, False),
+        (-np.inf, np.inf, False),
+    ]
+    # either side of the cancellation cut: a left-tail bin ending at -2 and a
+    # straddling bin (-2w, w)
+    for ratio, exact in ((1.001, False), (0.999, True)):
+        w = _cancel_width(ratio, lambda w: (-2.0 - w, -2.0))
+        pts.append((-2.0 - w, -2.0, exact))
+        w = _cancel_width(ratio, lambda w: (-2.0 * w, w))
+        pts.append((-2.0 * w, w, exact))
+    return pts
+
+
+KERNEL_POINTS = _kernel_points()
+
+
+class TestKernelBranches:
+    def test_reflection_is_bit_for_bit(self):
+        grid = np.concatenate(([-np.inf], np.linspace(-40.0, 40.0, 161),
+                               np.linspace(-1.3, 1.1, 13) * np.pi, [np.inf]))
+        l, u = np.meshgrid(grid, grid, indexing="ij")
+        keep = l < u
+        l, u = l[keep], u[keep]
+        assert np.array_equal(log_phi_cdf_diff(l, u), log_phi_cdf_diff(-u, -l))
+
+    @pytest.mark.parametrize("l,u,exact", KERNEL_POINTS)
+    def test_value_on_each_path_matches_mpmath(self, l, u, exact):
+        _, _, taken = _log_p(np.array([l]), np.array([u]))
+        assert (taken.size == 1) == exact
+        got = log_phi_cdf_diff(l, u)
+        want = mp_log_phi_diff(l, u)
+        if want == 0.0:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("l,u,exact", KERNEL_POINTS)
+    def test_node_gradients_match_mpmath(self, l, u, exact):
+        y_sim = Parameter(np.array([[[0.25]]]), "y_sim")
+        log_sigma = Parameter(np.log(0.5), "log_sigma")
+        sigma = float(np.exp(log_sigma.value))
+        lo = np.array([[0.25 + sigma * l]])
+        hi = np.array([[0.25 + sigma * u]])
+        tape = Tape()
+        tape.backward(quantized_loglik_node(tape, tape.leaf(y_sim), lo, hi, log_sigma))
+        # the standardized bounds the kernel sees
+        l_k, u_k = (lo[0, 0] - 0.25) / sigma, (hi[0, 0] - 0.25) / sigma
+        d_y, pdfs, d_log_sigma, xpdfs = mp_grads(l_k, u_k)
+        # a difference whose terms agree to 1e-4 keeps too few digits in
+        # double precision for a 1e-10 comparison; those points are skipped
+        if abs(pdfs[0] - pdfs[1]) >= 1e-4 * max(pdfs):
+            assert y_sim.grad[0, 0, 0] == pytest.approx(d_y / sigma, rel=1e-10)
+        elif max(pdfs) == 0:
+            assert y_sim.grad[0, 0, 0] == 0.0
+        if abs(xpdfs[0] - xpdfs[1]) >= 1e-4 * max(abs(xpdfs[0]), abs(xpdfs[1])):
+            assert float(log_sigma.grad) == pytest.approx(d_log_sigma, rel=1e-10)
+        elif max(abs(xpdfs[0]), abs(xpdfs[1])) == 0:
+            assert float(log_sigma.grad) == 0.0
+
+    def test_clamped_terms_counted_where_probability_underflows(self):
+        qz = TWELVE_BIN
+        sigma = 1e-3
+        t = np.arange(35.0, 40.0, 0.25)
+        y = qz.thresholds[1] + sigma * t  # bin 0 is (-inf, q_1]: P = Phi(-t)
+        z = np.zeros(t.size, dtype=np.int64)
+        diag = LoglikDiagnostics()
+        value = quantized_loglik(y, z, sigma, qz, diagnostics=diag)
+        u = (qz.thresholds[1] - y) / sigma
+        want = [mp_log_phi_diff(-np.inf, x) for x in u]
+        assert diag.clamped == sum(w < _LOG_P_FLOOR for w in want) > 0
+        assert value == pytest.approx(sum(max(w, _LOG_P_FLOOR) for w in want), rel=1e-12)
+
+    def test_node_on_bin_edges_equals_quantized_loglik(self, rng):
+        qz = TWELVE_BIN
+        y = rng.uniform(-1.2, 1.2, (3, 50, 1))
+        z = quantize(y + rng.normal(0.0, 0.2, y.shape), qz)
+        log_sigma = np.log(0.2)
+        tape = Tape()
+        lo, hi = qz.bin_edges(z)
+        node = quantized_loglik_node(tape, tape.constant(y), lo, hi, log_sigma)
+        assert node.value == quantized_loglik(y, z, float(np.exp(log_sigma)), qz)
+
+
+class TestBinEdges:
+    def test_edges_shaped_like_z_with_open_outer_bins(self):
+        qz = TWELVE_BIN
+        z = np.array([[0, 5], [11, 3]])
+        lo, hi = qz.bin_edges(z)
+        assert lo.shape == hi.shape == z.shape
+        assert lo[0, 0] == -np.inf and hi[1, 0] == np.inf
+        assert lo[0, 1] == qz.thresholds[5] and hi[0, 1] == qz.thresholds[6]
+        assert lo[1, 1] == qz.thresholds[3] and hi[1, 1] == qz.thresholds[4]
+
+    @pytest.mark.parametrize("bad", [-1, 12])
+    def test_out_of_range_bin_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"bin index {bad} out of range"):
+            TWELVE_BIN.bin_edges(np.array([0, 3, bad, 2]))
