@@ -333,6 +333,8 @@ def cmd_train(cfg):
         ],
     )
 
+    fileio.write_jsonl(os.path.join(out, "events.jsonl"), result.events)
+
     report = {
         "version": 1,
         "loss": loss_kind,
@@ -371,7 +373,7 @@ def cmd_train(cfg):
     for key in ("train_fit_percent", "test_fit_percent", "sigma_e"):
         if key in report:
             print(f"{key}: {report[key]:.4g}")
-    print(f"wrote {model_path}, trace.csv, report.json")
+    print(f"wrote {model_path}, trace.csv, events.jsonl, report.json")
     return 0
 
 

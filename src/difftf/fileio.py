@@ -118,6 +118,12 @@ def write_json(path, doc):
         json.dump(doc, fh, indent=1)
 
 
+def write_jsonl(path, records):
+    """One JSON object per line; no records leave an empty file."""
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,54 +24,59 @@ class TrainingDivergedError(RuntimeError):
         )
 
 
-class Adam:
-    """Bias-corrected Adam over a list of Parameters.
+def _flat(arrays):
+    return np.concatenate([np.zeros(0)] + [a.ravel() for a in arrays])
 
-    Steps with any non-finite gradient are skipped entirely and counted, so a
-    single bad iteration cannot poison the moment accumulators.
+
+class Adam:
+    """Bias-corrected Adam over a list of Parameters packed into one vector.
+
+    Each Parameter.value becomes a reshaped view of its slice of theta, so an
+    update is a few whole-vector operations; a value rebound afterwards is
+    neither updated nor restored. Steps with any non-finite gradient are
+    skipped entirely and counted, so a single bad iteration cannot poison the
+    moment accumulators.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("a Parameter is listed more than once")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+        self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.theta = _flat([p.value for p in self.params])
+        ends = np.cumsum([p.value.size for p in self.params], dtype=int)
+        for p, view in zip(self.params, np.split(self.theta, ends)):
+            p.value = view.reshape(p.value.shape)
+        self.m, self.v = np.zeros_like(self.theta), np.zeros_like(self.theta)
         self.skipped_steps = 0
 
     def step(self):
         """Apply one update in place; returns False if skipped on bad gradients."""
-        if any(not np.all(np.isfinite(p.grad)) for p in self.params):
+        g = _flat([p.grad for p in self.params])
+        if not np.isfinite(g).all():
             self.skipped_steps += 1
             return False
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value = p.value - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        self.theta -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
         return True
 
     def state(self):
-        return {
-            "t": self.t,
-            "m": [m.copy() for m in self.m],
-            "v": [v.copy() for v in self.v],
-            "lr": self.lr,
-        }
+        """A copy of the iterate and the optimizer state."""
+        return {"theta": self.theta.copy(), "t": self.t, "m": self.m.copy(),
+                "v": self.v.copy(), "lr": self.lr}
 
     def restore(self, state):
-        self.t = state["t"]
-        self.m = [m.copy() for m in state["m"]]
-        self.v = [v.copy() for v in state["v"]]
-        self.lr = state["lr"]
+        """Bring back the iterate and the optimizer state of state()."""
+        self.theta[...], self.m[...], self.v[...] = state["theta"], state["m"], state["v"]
+        self.t, self.lr = state["t"], state["lr"]
 
 
 @dataclass
@@ -96,15 +101,7 @@ class TrainResult:
     divergence_restores: int
     skipped_steps: int
     stopped_on_plateau: bool = False
-
-
-def _snapshot(params):
-    return [p.value.copy() for p in params]
-
-
-def _restore(params, snap):
-    for p, v in zip(params, snap):
-        p.value = v.copy()
+    events: list = field(default_factory=list)  # one dict per divergence restore
 
 
 def train(params, build_loss, config):
@@ -114,41 +111,43 @@ def train(params, build_loss, config):
     the current parameter values. On filter divergence, in the forward or the
     backward pass, the last iterate whose both passes succeeded is restored,
     the learning rate halved and training continues, up to MAX_LR_HALVINGS
-    times; after that TrainingDivergedError is raised.
-    The parameters are left at the best-loss snapshot.
+    times; after that TrainingDivergedError is raised. TrainResult.events
+    records each restore: iteration, pass, t, batch element and halved lr.
+    The parameters are left at the best-loss iterate, as views of one vector
+    (see Adam); build_loss must not rebind their values.
     """
     params = list(params)
     adam = Adam(params, config.lr)
-    trace = []
-    walls = []
-    best_loss = np.inf
-    best_it = -1
+    trace, walls, events = [], [], []
+    best_loss, best_it = np.inf, -1
     last_gain = -1  # last improvement larger than plateau_rtol
-    best_snap = _snapshot(params)
-    last_snap = _snapshot(params)
-    last_adam = adam.state()
-    restores = 0
+    best_theta = adam.theta.copy()
+    zero_grads = [np.zeros_like(p.value) for p in params]  # shared: backward rebinds grads
+    last_good = adam.state()
     stopped_on_plateau = False
     t0 = time.perf_counter()
 
     it = 0
     while it < config.iterations:
         # forward and backward under one guard: a filter may diverge in either
+        stage = "forward"
         try:
             tape, loss = build_loss()
             loss_value = float(loss.value)
             if not np.isfinite(loss_value):
+                stage = "loss"
                 raise FilterDivergenceError(-1)
-            for p in params:
-                p.grad = np.zeros_like(p.value)
+            for p, zero in zip(params, zero_grads):
+                p.grad = zero
+            stage = "backward"
             tape.backward(loss)
-        except FilterDivergenceError:
-            restores += 1
-            if restores > MAX_LR_HALVINGS:
-                raise TrainingDivergedError(restores, np.asarray(trace))
-            _restore(params, last_snap)
-            adam.restore(last_adam)
+        except FilterDivergenceError as exc:
+            if len(events) == MAX_LR_HALVINGS:
+                raise TrainingDivergedError(len(events) + 1, np.asarray(trace))
+            adam.restore(last_good)
             adam.lr *= 0.5
+            events.append({"event": "divergence_restore", "iteration": it, "pass": stage,
+                           "t": exc.t_index, "batch_element": exc.batch_index, "lr": adam.lr})
             continue
 
         trace.append(loss_value)
@@ -156,14 +155,13 @@ def train(params, build_loss, config):
         improved = loss_value < best_loss - config.plateau_rtol * max(1.0, abs(best_loss))
         if loss_value < best_loss:
             best_loss = loss_value
-            best_snap = _snapshot(params)
+            best_theta[...] = adam.theta
             best_it = it
         if improved or last_gain < 0:
             last_gain = it
-        # snapshot only an iterate whose forward and backward both succeeded,
-        # so a retry restarts from it and not from the iterate that diverged
-        last_snap = _snapshot(params)
-        last_adam = adam.state()
+        # keep only an iterate whose forward and backward both succeeded, so a
+        # retry restarts from it and not from the iterate that diverged
+        last_good = adam.state()
         adam.step()
 
         if config.log_every and (it + 1) % config.log_every == 0:
@@ -173,7 +171,7 @@ def train(params, build_loss, config):
             stopped_on_plateau = True
             break
 
-    _restore(params, best_snap)
+    adam.theta[...] = best_theta
     return TrainResult(
         loss_trace=np.asarray(trace),
         wall_times=np.asarray(walls),
@@ -181,7 +179,8 @@ def train(params, build_loss, config):
         best_iteration=best_it,
         iterations_run=it,
         lr_final=adam.lr,
-        divergence_restores=restores,
+        divergence_restores=len(events),
         skipped_steps=adam.skipped_steps,
         stopped_on_plateau=stopped_on_plateau,
+        events=events,
     )

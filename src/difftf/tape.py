@@ -77,14 +77,6 @@ class Tape:
         """Non-differentiable input (a detached value)."""
         return self._record(Node(_as_value(value), op=op))
 
-    def input(self, value):
-        """Differentiable input; its adjoint is available after backward()."""
-        return self._record(Node(_as_value(value), op="input", requires_grad=True))
-
-    def detach(self, node):
-        """Copy a node's value into a constant, cutting gradient flow there."""
-        return self.constant(np.copy(node.value) if not np.isscalar(node.value) else node.value)
-
     def leaf(self, param):
         """Leaf node for a Parameter, memoized so fan-out adjoints accumulate."""
         key = id(param)

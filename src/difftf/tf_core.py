@@ -95,8 +95,11 @@ def filter_rows(params, rows):
     rows = np.asarray(rows, dtype=float)
     if rows.shape[-1] < 1:
         raise ValueError("series length must be >= 1")
+    a = params.full_denominator()
+    if a.size == 1:  # lfilter's branch for a = [1] is slower than its recursive one
+        a = np.array([1.0, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        out = lfilter(params.full_numerator(), params.full_denominator(), rows, axis=-1)
+        out = lfilter(params.full_numerator(), a, rows, axis=-1)
     _raise_if_nonfinite(out)
     return out
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tf_core import TransferFunction, filter_rows
+from .tf_core import FilterDivergenceError, TransferFunction, filter_rows
 
 
 def sens_b0_rows(params, u_rows):
@@ -93,6 +93,11 @@ def grad_x_rows(params, w):
 def grad_u_rows(params, y_bar_rows):
     """u_bar = flip(G(q) flip(y_bar)): the O(T) reverse-time filtering form.
 
-    Returns a time-reversed view of the filtered array, not a copy.
+    Returns a time-reversed view of the filtered array, not a copy. A
+    FilterDivergenceError names t in the rows' own (forward) time.
     """
-    return filter_rows(params, y_bar_rows[:, ::-1])[:, ::-1]
+    try:
+        return filter_rows(params, y_bar_rows[:, ::-1])[:, ::-1]
+    except FilterDivergenceError as exc:
+        T = y_bar_rows.shape[-1]
+        raise FilterDivergenceError(T - 1 - exc.t_index, exc.batch_index) from None

@@ -18,7 +18,7 @@ from difftf.blocks import (
     static_nets_vjp,
 )
 from difftf.gradcheck import mse_loss_on, parameter_errors
-from difftf.tape import Tape
+from difftf.tape import Parameter, Tape
 from difftf.tf_core import TransferFunction, filter_forward, random_stable_tf
 
 
@@ -86,11 +86,11 @@ class TestMimoForward:
         block.a.value = rng.normal(0.0, 0.2, block.a.value.shape)
         u = rng.normal(0.0, 1.0, (1, 20, 2))
         tape = Tape()
-        u_node = tape.input(u)
-        out = block.apply(tape, u_node)
+        u_param = Parameter(u)
+        out = block.apply(tape, tape.leaf(u_param))
         loss = tape.total(tape.square(out))
         tape.backward(loss)
-        got = u_node.adjoint
+        got = u_param.grad
 
         from difftf.tf_grad import grad_u_rows
 
@@ -134,19 +134,17 @@ class TestMlp:
         nets = ParallelMlp([Mlp(1, 4, 1, rng=rng) for _ in range(3)])
         x = rng.normal(0.0, 1.0, (2, 15, 3))
         tape = Tape()
-        x_node = tape.input(x)
-        tape.backward(tape.total(tape.square(nets.apply(tape, x_node))))
-        assert [n.op for n in tape._nodes if n.op not in ("input", "param")] == [
+        x_param = Parameter(x)
+        tape.backward(tape.total(tape.square(nets.apply(tape, tape.leaf(x_param)))))
+        assert [n.op for n in tape._nodes if n.op != "param"] == [
             "mlp", "square", "sum",
         ]
         grads = [p.grad.copy() for _, p in nets.parameters()]
         for k, net in enumerate(nets.nets):
             single = Tape()
-            xk = single.input(x[:, :, k : k + 1])
-            single.backward(single.total(single.square(net.apply(single, xk))))
-            assert np.allclose(
-                x_node.adjoint[:, :, k : k + 1], xk.adjoint, rtol=1e-13
-            )
+            xk = Parameter(x[:, :, k : k + 1])
+            single.backward(single.total(single.square(net.apply(single, single.leaf(xk)))))
+            assert np.allclose(x_param.grad[:, :, k : k + 1], xk.grad, rtol=1e-13)
             for j, (_, p) in enumerate(net.parameters()):
                 assert np.allclose(grads[4 * k + j], p.grad, rtol=1e-13, atol=1e-14)
 
@@ -255,11 +253,11 @@ class TestPolyStatic:
         block = PolyStatic([[0.1, 1.0, -0.3, 0.2]])
         x = rng.normal(0.0, 1.0, (1, 10, 1))
         tape = Tape()
-        x_node = tape.input(x)
-        loss = tape.total(block.apply(tape, x_node))
+        x_param = Parameter(x)
+        loss = tape.total(block.apply(tape, tape.leaf(x_param)))
         tape.backward(loss)
         slope = 1.0 - 0.6 * x + 0.6 * x**2
-        assert np.allclose(x_node.adjoint, slope, rtol=1e-13)
+        assert np.allclose(x_param.grad, slope, rtol=1e-13)
 
 
 class TestSerialization:

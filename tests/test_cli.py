@@ -73,6 +73,16 @@ class TestTrain:
         assert (out / "model.json").exists()
         assert read_csv(out / "trace.csv").keys() == {"iteration", "loss", "wall_time_s"}
 
+    def test_clean_run_writes_empty_events_file(self, rng, tmp_path):
+        data = tmp_path / "d.csv"
+        write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
+        out = tmp_path / "run"
+        code = run(["train", "--data", data, "--arch", "fir", "--fir-taps", 4,
+                    "--loss", "mse", "--iterations", 20, "--out", out])
+        assert code == 0
+        assert read_json(out / "report.json")["divergence_restores"] == 0
+        assert (out / "events.jsonl").read_text() == ""
+
     def test_fir_mse_pipeline_improves_fit(self, rng, tmp_path):
         from difftf.tf_core import TransferFunction, filter_forward
 

@@ -7,6 +7,30 @@ from difftf.tape import Parameter, Tape
 from difftf.tf_core import FilterDivergenceError, filter_forward
 
 
+def per_array_adam(values, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference: Adam with one moment pair per array, skipping non-finite steps."""
+    values = [np.array(v, dtype=float) for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    t = 0
+    for grads in grads_per_step:
+        if any(not np.all(np.isfinite(g)) for g in grads):
+            continue
+        t += 1
+        c1 = 1.0 - beta1**t
+        c2 = 1.0 - beta2**t
+        for k, g in enumerate(grads):
+            m[k] *= beta1
+            m[k] += (1.0 - beta1) * g
+            v2[k] *= beta2
+            v2[k] += (1.0 - beta2) * g * g
+            values[k] = values[k] - lr * (m[k] / c1) / (np.sqrt(v2[k] / c2) + eps)
+    return values, m, v2, t
+
+
+SHAPES = [(), (3,), (2, 1, 4)]
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = Parameter(np.array([1.0, -2.0]), "p")
@@ -39,7 +63,7 @@ class TestAdam:
         assert adam.step() is False
         assert adam.skipped_steps == 1
         assert np.array_equal(p.value, [1.0])
-        assert np.array_equal(adam.m[0], [0.0])
+        assert np.array_equal(adam.m, [0.0])
 
     def test_state_round_trip(self):
         p = Parameter(np.array([0.5]), "p")
@@ -47,13 +71,66 @@ class TestAdam:
         p.grad = np.array([1.0])
         adam.step()
         state = adam.state()
+        after_one = p.value.copy()
         p.grad = np.array([1.0])
         adam.step()
         after_two = p.value.copy()
         adam.restore(state)
-        p.value = np.array([0.4])  # arbitrary; only optimizer state restored
         assert adam.t == 1
         assert not np.array_equal(after_two, p.value)
+        assert np.array_equal(after_one, p.value)
+
+    def test_flat_update_equals_per_array_reference(self, rng):
+        values = [rng.normal(0.0, 1.0, s) for s in SHAPES]
+        grads_per_step = [[rng.normal(0.0, 1.0, s) for s in SHAPES] for _ in range(7)]
+        grads_per_step[3][1][2] = np.inf  # one skipped step in the middle
+        params = [Parameter(v) for v in values]
+        adam = Adam(params, lr=0.05)
+        for grads in grads_per_step:
+            for p, g in zip(params, grads):
+                p.grad = np.array(g)
+            adam.step()
+        ref_values, ref_m, ref_v, ref_t = per_array_adam(values, grads_per_step, 0.05)
+        assert adam.skipped_steps == 1 and adam.t == ref_t == 6
+        for p, ref in zip(params, ref_values):
+            assert p.value.shape == ref.shape
+            assert np.array_equal(p.value, ref)
+        assert np.array_equal(adam.m, np.concatenate([np.ravel(m) for m in ref_m]))
+        assert np.array_equal(adam.v, np.concatenate([np.ravel(v) for v in ref_v]))
+
+    def test_restore_brings_back_iterate_and_moments_as_views(self, rng):
+        params = [Parameter(rng.normal(0.0, 1.0, s)) for s in SHAPES]
+        adam = Adam(params, lr=0.05)
+
+        def steps(n):
+            for _ in range(n):
+                for p in params:
+                    p.grad = rng.normal(0.0, 1.0, p.value.shape)
+                adam.step()
+
+        steps(2)
+        state = adam.state()
+        saved = [(p.value.copy(), p.value) for p in params]
+        steps(3)
+        adam.lr *= 0.5
+        adam.restore(state)
+        assert adam.t == 2 and adam.lr == 0.05
+        for name in ("theta", "m", "v"):
+            assert np.array_equal(getattr(adam, name), state[name])
+        for p, (value, view) in zip(params, saved):
+            assert p.value is view
+            assert np.array_equal(p.value, value)
+            assert np.shares_memory(p.value, adam.theta)
+
+    def test_parameter_listed_twice_rejected(self):
+        p = Parameter(np.zeros(2), "p")
+        with pytest.raises(ValueError, match="more than once"):
+            Adam([p, Parameter(np.ones(1)), p])
+
+    def test_empty_parameter_list(self):
+        adam = Adam([])
+        assert adam.theta.shape == (0,)
+        assert adam.step() is True
 
 
 def quadratic_builder(p, target):
@@ -158,6 +235,19 @@ class TestTrain:
         assert result.divergence_restores == 1
         assert result.lr_final == pytest.approx(0.1)
         assert result.iterations_run == 30
+        assert [(e["pass"], e["iteration"], e["t"]) for e in result.events] == [("forward", 0, 5)]
+
+    def test_non_finite_loss_is_a_loss_restore_event(self):
+        p = Parameter(np.array([1.0]), "p")
+        losses = iter([np.nan])
+
+        def build_loss():
+            tape = Tape()
+            return tape, tape.add(tape.total(tape.square(tape.leaf(p))), next(losses, 0.0))
+
+        result = train([p], build_loss, TrainConfig(iterations=3, lr=0.2))
+        assert result.events == [{"event": "divergence_restore", "iteration": 0, "pass": "loss",
+                                  "t": -1, "batch_element": 0, "lr": 0.1}]
 
     def test_divergence_in_backward_pass_restores_previous_iterate(self):
         p = Parameter(np.array([1.0]), "p")
@@ -183,6 +273,27 @@ class TestTrain:
         # the retry restarts from the last iterate whose backward succeeded
         assert np.array_equal(seen[3], seen[1])
 
+    def test_backward_divergence_is_one_restore_event(self):
+        p = Parameter(np.array([1.0, -0.5]), "p")
+        calls = {"n": 0}
+
+        def build_loss():
+            tape = Tape()
+            leaf = tape.leaf(p)
+
+            def vjp(g):
+                calls["n"] += 1
+                if calls["n"] == 2:
+                    raise FilterDivergenceError(7, 1)
+                return (2.0 * g * leaf.value,)
+
+            return tape, tape.custom(float(np.sum(leaf.value**2)), (leaf,), vjp, op="diverging")
+
+        result = train([p], build_loss, TrainConfig(iterations=5, lr=0.2))
+        assert result.events == [{"event": "divergence_restore", "iteration": 1,
+                                  "pass": "backward", "t": 7, "batch_element": 1, "lr": 0.1}]
+        assert result.divergence_restores == 1
+
     def test_unrecoverable_divergence_aborts_with_diagnostics(self):
         p = Parameter(np.array([1.0]), "p")
 
@@ -199,7 +310,7 @@ class TestTrain:
         p = Parameter(np.array([0.0]), "p")
 
         def build_loss():
-            p.value = p.value + 1.0  # iterate k holds k + 1; its gradient is zero
+            p.value += 1.0  # iterate k holds k + 1; its gradient is zero
             tape = Tape()
             return tape, tape.add(tape.total(tape.scale(tape.leaf(p), 0.0)), next(losses))
 

@@ -102,6 +102,13 @@ class TestFilterForward:
             filter_forward(tf, np.ones(2000))
         assert err.value.t_index >= 0
 
+    @pytest.mark.parametrize("n_k", [0, 2])
+    def test_fir_filter_matches_reference(self, rng, n_k):
+        tf = TransferFunction(rng.normal(0.0, 1.0, 14), [], n_k)
+        u = rng.normal(0.0, 1.0, (2, 300))
+        y = filter_forward(tf, u)
+        assert np.abs(y - filter_forward_reference(tf, u)).max() <= 1e-12
+
     def test_rows_in_same_shape_out_other_ndim_rejected(self, rng):
         tf = random_stable_tf(rng, 2, 2)
         ops = (

@@ -3,8 +3,9 @@ import pytest
 
 from difftf.blocks import MimoTransferFunction
 from difftf.gradcheck import central_difference, filter_op_gradients, relative_errors
-from difftf.tape import Tape
+from difftf.tape import Parameter, Tape
 from difftf.tf_core import (
+    FilterDivergenceError,
     TransferFunction,
     filter_forward,
     filter_rows,
@@ -214,6 +215,15 @@ class TestGradU:
         rhs = 2.0 * grad_u_rows(tf, row(w1))[0] - 0.5 * grad_u_rows(tf, row(w2))[0]
         assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
+    def test_divergence_reports_t_in_forward_time(self):
+        # the adjoint of g = delta at (row 1, t = 1999) through the pole 1.5 is
+        # 1.5**(1999 - t), first non-finite (going backwards) at 1999 - 1751
+        g = np.zeros((2, 2000))
+        g[1, -1] = 1.0
+        with pytest.raises(FilterDivergenceError) as err:
+            grad_u_rows(TransferFunction([1.0], [-1.5]), g)
+        assert (err.value.t_index, err.value.batch_index) == (248, 1)
+
 
 class TestShiftIdentities:
     def test_sigma_b_shifts_bit_for_bit(self, rng):
@@ -319,11 +329,11 @@ def random_grid(rng, n_b, n_a, n_k):
 def grid_gradients(block, u, g):
     """b, a and u adjoints of sum(g * block(u)) through the recorded op."""
     tape = Tape()
-    u_node = tape.input(u)
-    y = block.apply(tape, u_node)
+    u_param = Parameter(u)
+    y = block.apply(tape, tape.leaf(u_param))
     loss = tape.custom(float(np.sum(g * y.value)), (y,), lambda s: (s * g,), op="weighted")
     tape.backward(loss)
-    return block.b.grad, block.a.grad, u_node.adjoint
+    return block.b.grad, block.a.grad, u_param.grad
 
 
 class TestGridBackward:
