@@ -65,9 +65,13 @@ class MimoTransferFunction:
         cells = [[self.cell(o, i) for i in range(self.in_channels)]
                  for o in range(self.out_channels)]
         cell_y = [[filter_rows(c, x[:, :, i]) for i, c in enumerate(row)] for row in cells]
-        y = np.zeros((x.shape[0], x.shape[1], self.out_channels))
-        for o, row in enumerate(cell_y):
-            for y_oi in row:
+        if self.out_channels == self.in_channels == 1:
+            return cells, cell_y, cell_y[0][0][:, :, np.newaxis]
+        # each channel is written from its first cell, not added into zeros
+        y = np.empty((x.shape[0], x.shape[1], self.out_channels))
+        for o, (first, *rest) in enumerate(cell_y):
+            y[:, :, o] = first
+            for y_oi in rest:
                 y[:, :, o] += y_oi
         return cells, cell_y, y
 
@@ -87,9 +91,11 @@ class MimoTransferFunction:
         cells, cell_y, y = self._forward(x)
 
         def vjp(g):
-            b_bar = np.zeros_like(self.b.value) if b_node.requires_grad else None
-            a_bar = np.zeros_like(self.a.value) if a_node.requires_grad else None
-            x_bar = np.zeros_like(x) if x_node.requires_grad else None
+            # every cell writes its own b and a slice; input channel i is
+            # written by output 0 and added into by the further outputs
+            b_bar = np.empty_like(self.b.value) if b_node.requires_grad else None
+            a_bar = np.empty_like(self.a.value) if a_node.requires_grad else None
+            x_bar = np.empty_like(x) if x_node.requires_grad else None
             batch = x.shape[0]
             pad = max(self.n_k + self.n_b, self.n_a)  # the largest lag
             if b_bar is not None:
@@ -107,7 +113,11 @@ class MimoTransferFunction:
                         y_gap = tf_grad.gapped(cell_y[o][i], pad)
                         a_bar[o, i] = tf_grad.grad_a_rows(w, y_gap, self.n_a)
                     if x_bar is not None:
-                        x_bar[:, :, i] += tf_grad.ungapped(tf_grad.grad_x_rows(cell, w), batch, pad)
+                        x_bar_oi = tf_grad.ungapped(tf_grad.grad_x_rows(cell, w), batch, pad)
+                        if o == 0:
+                            x_bar[:, :, i] = x_bar_oi
+                        else:
+                            x_bar[:, :, i] += x_bar_oi
             return (b_bar, a_bar, x_bar)
 
         return tape.custom(y, (b_node, a_node, x_node), vjp, op="mimo_filter")
@@ -435,6 +445,18 @@ def build_pwh(n_b=12, n_a=12, hidden=10, rng=None):
     ])
 
 
+def _channel_moments(column, x):
+    """Per-channel mean and std (a zero std taken as 1) of a (batch, T, C) array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = x.mean(axis=(0, 1)), x.std(axis=(0, 1))
+    bad = ~(np.isfinite(mean) & np.isfinite(std))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise ValueError(f"the {column} column (channel {k}) overflows its statistics: "
+                         f"mean {mean[k]:.6g}, std {std[k]:.6g}")
+    return mean, np.where(std > 0, std, 1.0)
+
+
 class Normalization:
     """Per-channel affine scaling fitted on training data."""
 
@@ -453,16 +475,14 @@ class Normalization:
 
     @classmethod
     def from_data(cls, u, y=None):
-        """Statistics over batch and time; y=None leaves the output untouched."""
-        u_mean = u.mean(axis=(0, 1))
-        u_std = u.std(axis=(0, 1))
-        u_std = np.where(u_std > 0, u_std, 1.0)
+        """Statistics over batch and time; y=None leaves the output untouched.
+
+        Raises ValueError, naming the column, when a mean or std overflows.
+        """
+        u_mean, u_std = _channel_moments("u", u)
         if y is None:
             return cls(u_mean, u_std, np.zeros(1), np.ones(1))
-        y_mean = y.mean(axis=(0, 1))
-        y_std = y.std(axis=(0, 1))
-        y_std = np.where(y_std > 0, y_std, 1.0)
-        return cls(u_mean, u_std, y_mean, y_std)
+        return cls(u_mean, u_std, *_channel_moments("y", y))
 
     def normalize_u(self, u):
         return (u - self.u_mean) / self.u_std

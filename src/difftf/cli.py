@@ -302,7 +302,13 @@ def cmd_train(cfg):
         log_every=cfg["log_every"],
     )
     t_start = time.perf_counter()
-    result = train(params, build_loss, tc)
+    try:
+        result = train(params, build_loss, tc)
+    except TrainingDivergedError as exc:
+        # main reports the failure; the events say when and where it diverged
+        out = fileio.ensure_dir(cfg["out"])
+        fileio.write_jsonl(os.path.join(out, "events.jsonl"), exc.events)
+        raise
     wall = time.perf_counter() - t_start
 
     out = fileio.ensure_dir(cfg["out"])

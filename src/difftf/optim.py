@@ -16,9 +16,10 @@ MAX_LR_HALVINGS = 5
 class TrainingDivergedError(RuntimeError):
     """Training could not recover from repeated filter divergence."""
 
-    def __init__(self, restores, trace):
+    def __init__(self, restores, trace, events):
         self.restores = restores
         self.trace = trace
+        self.events = events  # the run's events, ending with the divergence it stopped on
         super().__init__(
             f"training aborted after {restores} divergence recoveries"
         )
@@ -101,7 +102,8 @@ class TrainResult:
     divergence_restores: int
     skipped_steps: int
     stopped_on_plateau: bool = False
-    events: list = field(default_factory=list)  # one dict per divergence restore
+    # one dict per divergence restore, skipped Adam step and plateau stop
+    events: list = field(default_factory=list)
 
 
 def train(params, build_loss, config):
@@ -112,13 +114,16 @@ def train(params, build_loss, config):
     backward pass, the last iterate whose both passes succeeded is restored,
     the learning rate halved and training continues, up to MAX_LR_HALVINGS
     times; after that TrainingDivergedError is raised. TrainResult.events
-    records each restore: iteration, pass, t, batch element and halved lr.
+    records each restore (iteration, pass, t, batch element and halved lr),
+    each Adam step skipped on a non-finite gradient (iteration and Adam's
+    step count t) and a plateau stop (last iteration and best iteration).
     The parameters are left at the best-loss iterate, as views of one vector
     (see Adam); build_loss must not rebind their values.
     """
     params = list(params)
     adam = Adam(params, config.lr)
     trace, walls, events = [], [], []
+    restores = 0
     best_loss, best_it = np.inf, -1
     last_gain = -1  # last improvement larger than plateau_rtol
     best_theta = adam.theta.copy()
@@ -142,12 +147,15 @@ def train(params, build_loss, config):
             stage = "backward"
             tape.backward(loss)
         except FilterDivergenceError as exc:
-            if len(events) == MAX_LR_HALVINGS:
-                raise TrainingDivergedError(len(events) + 1, np.asarray(trace))
+            where = {"iteration": it, "pass": stage, "t": exc.t_index,
+                     "batch_element": exc.batch_index}
+            if restores == MAX_LR_HALVINGS:
+                events.append({"event": "divergence_abort", **where, "lr": adam.lr})
+                raise TrainingDivergedError(restores + 1, np.asarray(trace), events)
             adam.restore(last_good)
             adam.lr *= 0.5
-            events.append({"event": "divergence_restore", "iteration": it, "pass": stage,
-                           "t": exc.t_index, "batch_element": exc.batch_index, "lr": adam.lr})
+            restores += 1
+            events.append({"event": "divergence_restore", **where, "lr": adam.lr})
             continue
 
         trace.append(loss_value)
@@ -162,13 +170,16 @@ def train(params, build_loss, config):
         # keep only an iterate whose forward and backward both succeeded, so a
         # retry restarts from it and not from the iterate that diverged
         last_good = adam.state()
-        adam.step()
+        if not adam.step():
+            events.append({"event": "skipped_step", "iteration": it, "t": adam.t})
 
         if config.log_every and (it + 1) % config.log_every == 0:
             print(f"iter {it + 1}: loss {loss_value:.6g}")
         it += 1
         if config.plateau_patience and it - last_gain >= config.plateau_patience:
             stopped_on_plateau = True
+            events.append({"event": "plateau_stop", "iteration": it - 1,
+                           "best_iteration": best_it})
             break
 
     adam.theta[...] = best_theta
@@ -179,7 +190,7 @@ def train(params, build_loss, config):
         best_iteration=best_it,
         iterations_run=it,
         lr_final=adam.lr,
-        divergence_restores=len(events),
+        divergence_restores=restores,
         skipped_steps=adam.skipped_steps,
         stopped_on_plateau=stopped_on_plateau,
         events=events,

@@ -43,17 +43,32 @@ class PemModel:
         out.append(("noise.a", self.noise_a))
         return out
 
-    def prediction_error_node(self, tape, u, y):
-        """eps = (y - M(u)) + Hc(q)(y - M(u)), differentiable end to end."""
+    def _error_nodes(self, tape, u, y):
+        """Record d = y - M(u) and the noise grid's output Hc(q) d."""
         u_node = u if hasattr(u, "value") else tape.constant(u)
         y_node = y if hasattr(y, "value") else tape.constant(y)
-        m_out = self.model.apply(tape, u_node)
-        d = tape.sub(y_node, m_out)
-        return tape.add(d, self.noise.apply(tape, d))
+        d = tape.sub(y_node, self.model.apply(tape, u_node))
+        return d, self.noise.apply(tape, d)
+
+    def prediction_error_node(self, tape, u, y):
+        """eps = (y - M(u)) + Hc(q)(y - M(u)), differentiable end to end."""
+        return tape.add(*self._error_nodes(tape, u, y))
 
     def pem_loss_node(self, tape, u, y):
-        eps = self.prediction_error_node(tape, u, y)
-        return tape.mean(tape.square(eps))
+        """mean(eps^2) as one `pem_loss` node over d and Hc d.
+
+        Its vjp sends 2 eps (g / N) to both parents: the arithmetic of the
+        composed add, square and mean nodes, in the same order.
+        """
+        d, hd = self._error_nodes(tape, u, y)
+        eps = d.value + hd.value
+
+        def vjp(g):
+            bar = np.multiply(eps, 2.0, out=eps)  # eps is consumed: a tape is swept once
+            bar *= g / bar.size
+            return (bar, bar)
+
+        return tape.custom(float(np.mean(eps * eps)), (d, hd), vjp, op="pem_loss")
 
 
 def prediction_error(model, u, y):

@@ -73,9 +73,6 @@ class LoglikDiagnostics:
 
     clamped: int = 0
 
-    def reset(self):
-        self.clamped = 0
-
 
 def quantize(x, qz):
     """Bin index per sample: m iff x in (q_m, q_{m+1}], saturating outer bins."""

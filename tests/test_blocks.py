@@ -82,25 +82,48 @@ class TestMimoForward:
             block.apply(tape, tape.constant(np.zeros((1, 5, 3))))
 
     def test_mimo_backward_sums_per_cell_input_adjoints(self, rng):
-        block = MimoTransferFunction(2, 2, 2, 2, 0, rng=rng)
-        block.a.value = rng.normal(0.0, 0.2, block.a.value.shape)
-        u = rng.normal(0.0, 1.0, (1, 20, 2))
-        tape = Tape()
-        u_param = Parameter(u)
-        out = block.apply(tape, tape.leaf(u_param))
-        loss = tape.total(tape.square(out))
-        tape.backward(loss)
-        got = u_param.grad
-
+        """Output and input adjoint of 1x1, 2x1, 1x2 and 2x2 grids against per-cell sums."""
         from difftf.tf_grad import grad_u_rows
 
-        y = block.simulate(u)
-        expected = np.zeros_like(u)
-        for o in range(2):
-            g_o = 2.0 * y[:, :, o]
-            for i in range(2):
-                expected[:, :, i] += grad_u_rows(block.cell(o, i), g_o)
-        assert np.allclose(got, expected, rtol=1e-12, atol=1e-13)
+        for n_out, n_in in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+            block = MimoTransferFunction(n_out, n_in, 2, 2, 0, rng=rng)
+            block.a.value = rng.normal(0.0, 0.2, block.a.value.shape)
+            u = rng.normal(0.0, 1.0, (2, 20, n_in))
+            tape = Tape()
+            u_param = Parameter(u)
+            out = block.apply(tape, tape.leaf(u_param))
+            loss = tape.total(tape.square(out))
+            tape.backward(loss)
+
+            y = np.zeros((2, 20, n_out))
+            for o in range(n_out):
+                for i in range(n_in):
+                    y[:, :, o] += filter_forward(block.cell(o, i), u[:, :, i])
+            assert np.array_equal(out.value, y)
+            assert np.array_equal(block.simulate(u), y)
+            expected = np.zeros_like(u)
+            for o in range(n_out):
+                g_o = 2.0 * y[:, :, o]
+                for i in range(n_in):
+                    expected[:, :, i] += grad_u_rows(block.cell(o, i), g_o)
+            assert np.allclose(u_param.grad, expected, rtol=1e-12, atol=1e-13)
+
+    def test_1x1_output_view_gives_correct_coefficient_adjoints(self, rng):
+        block = MimoTransferFunction(1, 1, 2, 2, 1, rng=rng)
+        block.a.value = np.array([[[-0.5, 0.2]]])
+        u = rng.normal(0.0, 1.0, (2, 40, 1))
+        tape = Tape()
+        out = block.apply(tape, tape.constant(u))
+        # the output shares the cell's rows; the a adjoint reads those rows
+        assert out.value.base is not None
+        target = rng.normal(0.0, 1.0, out.value.shape)
+
+        def loss_on(tape):
+            y = block.apply(tape, tape.constant(u))
+            return tape.total(tape.square(tape.sub(y, tape.constant(target))))
+
+        errs = parameter_errors([block.b, block.a], loss_on)
+        assert max(errs) <= 1e-5
 
 
 class TestMlp:
@@ -309,3 +332,10 @@ class TestNormalization:
         assert np.allclose(norm.normalize_u(u).mean(), 0.0, atol=1e-12)
         assert np.allclose(norm.normalize_u(u).std(), 1.0, atol=1e-12)
         assert np.allclose(norm.denormalize_y(norm.normalize_y(y)), y, atol=1e-12)
+
+    @pytest.mark.parametrize("column", ["u", "y"])
+    def test_statistics_that_overflow_name_the_column(self, rng, column):
+        data = {"u": rng.normal(0.0, 1.0, (1, 200, 1)), "y": rng.normal(0.0, 1.0, (1, 200, 1))}
+        data[column] *= 1e300  # the squares overflow: std is inf
+        with pytest.raises(ValueError, match=f"the {column} column"):
+            Normalization.from_data(data["u"], data["y"])

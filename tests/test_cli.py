@@ -132,6 +132,34 @@ class TestTrain:
         assert "u column" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_input_overflowing_its_statistics_is_data_error(self, rng, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_dataset(data, 1e300 * rng.normal(0, 1, 200), y=rng.normal(0, 1, 200))
+        code = run(["train", "--data", data, "--arch", "fir", "--loss", "mse",
+                    "--iterations", 5, "--out", tmp_path / "r"])
+        assert code == 3
+        assert "the u column (channel 0) overflows" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_diverged_run_exits_2_and_leaves_its_events(self, rng, tmp_path, monkeypatch):
+        from difftf import blocks
+        from difftf.tf_core import FilterDivergenceError
+
+        def diverges(params, rows):
+            raise FilterDivergenceError(3)
+
+        monkeypatch.setattr(blocks, "filter_rows", diverges)
+        data = tmp_path / "d.csv"
+        write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
+        out = tmp_path / "run"
+        code = run(["train", "--data", data, "--arch", "fir", "--fir-taps", 4,
+                    "--loss", "mse", "--iterations", 20, "--out", out])
+        assert code == 2
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert [e["event"] for e in events] == ["divergence_restore"] * 5 + ["divergence_abort"]
+        assert all(e["pass"] == "forward" and e["t"] == 3 for e in events)
+        assert not (out / "model.json").exists()
+
     def test_loss_kind_data_mismatch(self, rng, tmp_path):
         data = tmp_path / "d.csv"
         write_dataset(data, rng.normal(0, 1, 32), y=rng.normal(0, 1, 32))

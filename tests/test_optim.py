@@ -303,6 +303,30 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as err:
             train([p], always_diverges, TrainConfig(iterations=10, lr=0.1))
         assert err.value.restores == 6  # MAX_LR_HALVINGS + 1
+        events = err.value.events
+        assert [e["event"] for e in events] == ["divergence_restore"] * 5 + ["divergence_abort"]
+        assert (events[-1]["iteration"], events[-1]["pass"], events[-1]["t"]) == (0, "forward", 0)
+
+    def test_skipped_steps_are_events(self):
+        p = Parameter(np.array([1.0]), "p")
+        calls = {"n": 0}
+
+        def build_loss():
+            tape = Tape()
+            leaf = tape.leaf(p)
+
+            def vjp(g):
+                calls["n"] += 1
+                bad = calls["n"] in (2, 3)  # iterations 1 and 2 get a NaN gradient
+                return (np.full(1, np.nan) if bad else 2.0 * g * leaf.value,)
+
+            return tape, tape.custom(float(np.sum(leaf.value**2)), (leaf,), vjp, op="sq")
+
+        result = train([p], build_loss, TrainConfig(iterations=5, lr=0.1))
+        assert result.skipped_steps == 2
+        assert result.events == [{"event": "skipped_step", "iteration": 1, "t": 1},
+                                 {"event": "skipped_step", "iteration": 2, "t": 1}]
+        assert result.divergence_restores == 0
 
     def test_best_iteration_names_restored_iterate_below_plateau_rtol(self):
         # the last two decreases are smaller than plateau_rtol
@@ -321,6 +345,7 @@ class TestTrain:
         assert p.value[0] == best + 1
         # plateau patience still counts from the last significant improvement
         assert result.stopped_on_plateau and result.iterations_run == 4
+        assert result.events == [{"event": "plateau_stop", "iteration": 3, "best_iteration": 3}]
 
     def test_plateau_stop(self):
         p = Parameter(np.array([0.0]), "p")
@@ -331,3 +356,5 @@ class TestTrain:
         )
         assert result.stopped_on_plateau
         assert result.iterations_run < 100
+        assert result.events == [{"event": "plateau_stop", "iteration": result.iterations_run - 1,
+                                  "best_iteration": result.best_iteration}]

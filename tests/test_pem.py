@@ -157,6 +157,37 @@ class TestPemLoss:
         ops = [node.op for node in tape._nodes]
         assert ops.count("mimo_filter") == 3
         assert "filter" not in ops
+        # one loss op after d = y - M(u) and the noise grid
+        assert ops[-3:] == ["param", "mimo_filter", "pem_loss"]
+        assert not {"add", "square", "mean"} & set(ops)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("T", [1, 64])
+    def test_fused_loss_equals_composed_graph_bit_for_bit(self, rng, batch, T):
+        pm = PemModel(build_wh(n_b=2, n_a=2, hidden=3, rng=rng))
+        pm.noise_b.value[:] = rng.normal(0.0, 0.3, pm.noise_b.value.shape)
+        pm.noise_a.value[:] = [-0.4, 0.1]
+        u = rng.normal(0.0, 1.0, (batch, T, 1))
+        y = rng.normal(0.0, 1.0, (batch, T, 1))
+        params = [p for _, p in pm.parameters()]
+
+        def composed(tape):
+            d = tape.sub(tape.constant(y), pm.model.apply(tape, tape.constant(u)))
+            eps = tape.add(d, pm.noise.apply(tape, d))
+            return tape.mean(tape.square(eps))
+
+        def value_and_grads(loss_on):
+            tape = Tape()
+            loss = loss_on(tape)
+            tape.backward(loss)
+            return loss.value, [p.grad.copy() for p in params]
+
+        fused, fused_grads = value_and_grads(lambda tape: pm.pem_loss_node(tape, u, y))
+        ref, ref_grads = value_and_grads(composed)
+        assert fused == ref
+        for got, want in zip(fused_grads, ref_grads):
+            assert np.array_equal(got, want)
+        assert any(np.any(g != 0.0) for g in fused_grads)
 
 
 class TestNoiseFilter:
