@@ -467,13 +467,6 @@ class Normalization:
         self.y_std = np.asarray(y_std, dtype=float)
 
     @classmethod
-    def identity(cls, u_channels=1, y_channels=1):
-        return cls(
-            np.zeros(u_channels), np.ones(u_channels),
-            np.zeros(y_channels), np.ones(y_channels),
-        )
-
-    @classmethod
     def from_data(cls, u, y=None):
         """Statistics over batch and time; y=None leaves the output untouched.
 
@@ -519,9 +512,10 @@ class ModelFile:
 
     def simulate(self, u):
         """Open-loop simulation in original units of a (batch, T, Cu) input."""
-        norm = self.normalization or Normalization.identity(u.shape[2])
-        y_norm = self.model.simulate(norm.normalize_u(u))
-        return norm.denormalize_y(y_norm)
+        norm = self.normalization
+        if norm is None:  # e.g. a truth.json, whose model works in original units
+            return self.model.simulate(u)
+        return norm.denormalize_y(self.model.simulate(norm.normalize_u(u)))
 
     def to_dict(self):
         doc = {"version": 1}

@@ -44,18 +44,13 @@ def _one_of(*choices):
     return (lambda v: v in choices), "one of " + ", ".join(map(str, choices))
 
 
-def _positive_levels(text):
-    """True for "" (the default levels) or comma-separated positive numbers."""
-    if not text:
-        return True
-    try:
-        levels = [float(x) for x in text.split(",")]
-    except ValueError:
-        return False
-    return all(math.isfinite(x) and x > 0 for x in levels)
+def levels(text):
+    """Comma-separated numbers as a tuple of floats; str() takes a config file's bare number."""
+    return tuple(float(x) for x in str(text).split(","))
 
 
 _POSITIVE = (lambda v: v > 0), "> 0"
+_POSITIVE_LEVELS = (lambda v: all(0 < x < math.inf for x in v)), "positive numbers"
 
 # name -> (type, default, domain); a None default means "required unless in
 # config". A domain is (test, text): the value must pass test, text names the
@@ -66,7 +61,7 @@ _GENERATE_KEYS = {
     "seed": (int, 0, _at_least(0)),
     "out": (str, None, None),
     "test_T": (int, 0, _at_least(0)),  # 0: half of T
-    "rms_levels": (str, "", (_positive_levels, "a comma-separated list of positive numbers")),
+    "rms_levels": (levels, datagen.PWH_RMS_LEVELS, _POSITIVE_LEVELS),
     "realizations": (int, 4, _at_least(1)),
     "sigma_e": (float, 0.03, _POSITIVE),
     "band": (float, 0.3, ((lambda v: 0 < v < 0.5), "in (0, 0.5)")),
@@ -79,11 +74,10 @@ _TRAIN_KEYS = {
     "lr": (float, 1e-3, _POSITIVE),
     "iterations": (int, 1000, _at_least(0)),
     "seed": (int, 0, _at_least(0)),
-    "normalize": (int, 1, _one_of(0, 1)),
     "out": (str, None, None),
     "n_b": (int, 0, _at_least(0)),  # 0: the architecture's default order
     "n_a": (int, 0, _at_least(0)),  # 0: the architecture's default order
-    "n_k": (int, -1, _at_least(-1)),  # -1: the default, 0 (only --arch fir reads it)
+    "n_k": (int, 0, _at_least(0)),  # only --arch fir reads it
     "hidden": (int, 10, _at_least(1)),
     "fir_taps": (int, 20, _at_least(1)),
     "noise_n_b": (int, 2, _at_least(0)),
@@ -165,15 +159,10 @@ def cmd_generate(cfg):
         ds = datagen.generate_wh_colored(cfg["seed"], cfg["T"], cfg["test_T"] or None)
         u_train, train_out = ds.u_train, {"y": ds.y_train}
     else:
-        levels = (
-            tuple(float(x) for x in cfg["rms_levels"].split(","))
-            if cfg["rms_levels"]
-            else datagen.PWH_RMS_LEVELS
-        )
         ds = datagen.generate_pwh_quantized(
             cfg["seed"],
             cfg["T"],
-            rms_levels=levels,
+            rms_levels=cfg["rms_levels"],
             realizations=cfg["realizations"],
             band=cfg["band"],
             sigma_e=cfg["sigma_e"],
@@ -201,80 +190,72 @@ def cmd_generate(cfg):
 # ------------------------------------------------------------------- train
 
 
-def _build_model(cfg, in_channels, rng):
+def _build_model(cfg, rng):
     arch = cfg["arch"]
     n_b, n_a, hidden = cfg["n_b"], cfg["n_a"], cfg["hidden"]
     if arch == "wh":
         return build_wh(n_b or 8, n_a or 8, hidden, rng)
     if arch == "pwh":
         return build_pwh(n_b or 12, n_a or 12, hidden, rng)
-    n_k = cfg["n_k"] if cfg["n_k"] >= 0 else 0
-    return BlockModel(
-        [MimoTransferFunction(1, in_channels, cfg["fir_taps"] - 1, 0, n_k, rng=rng)]
-    )
+    return BlockModel([MimoTransferFunction(1, 1, cfg["fir_taps"] - 1, 0, cfg["n_k"], rng=rng)])
+
+
+def _bin_edges(cfg, z):
+    """Per-sample bin edges of z under the thresholds of the --quantizer file."""
+    if not cfg["quantizer"]:
+        raise UsageError("quantized loss needs --quantizer (JSON with thresholds)")
+    qdoc = fileio.read_json(cfg["quantizer"])
+    if not isinstance(qdoc, dict) or "thresholds" not in qdoc:
+        raise UsageError("quantizer JSON must contain a thresholds array")
+    qz = Quantizer(np.asarray(qdoc["thresholds"], dtype=float))
+    try:
+        return qz.bin_edges(z)
+    except ValueError as exc:
+        raise ValueError(f"{cfg['data']}: {exc}") from None
+
+
+def _fit(model_file, u, y):
+    """Fit index and RMSE of the open-loop simulation of (batch, T) input u against y."""
+    y_sim = model_file.simulate(u[:, :, np.newaxis])[:, :, 0]
+    return fit_index(y, y_sim), rmse(y, y_sim)
 
 
 def cmd_train(cfg):
     u, out_col, kind = fileio.read_dataset(cfg["data"])
     loss_kind = cfg["loss"]
-    if loss_kind == "quantized" and kind != "z":
-        raise UsageError("quantized loss needs a dataset with a z column")
-    if loss_kind != "quantized" and kind != "y":
-        raise UsageError(f"{loss_kind} loss needs a dataset with a y column")
+    need = "z" if loss_kind == "quantized" else "y"
+    if kind != need:
+        raise UsageError(f"{loss_kind} loss needs a dataset with a {need} column")
+    if cfg["test_data"]:  # checked before training, so a bad file costs no run
+        u_test, y_test, kind_test = fileio.read_dataset(cfg["test_data"])
+        if kind_test != "y":
+            raise UsageError("test data must contain a y column")
 
-    rng = np.random.default_rng(cfg["seed"])
     u3 = u[:, :, np.newaxis]
-    model = _build_model(cfg, 1, rng)
-
-    if loss_kind == "quantized":
-        norm = (
-            Normalization.from_data(u3, None)
-            if cfg["normalize"]
-            else Normalization.identity()
-        )
-    else:
-        y3 = out_col[:, :, np.newaxis]
-        norm = (
-            Normalization.from_data(u3, y3)
-            if cfg["normalize"]
-            else Normalization.identity()
-        )
+    y3 = out_col[:, :, np.newaxis] if kind == "y" else None
+    norm = Normalization.from_data(u3, y3)
     u_n = norm.normalize_u(u3)
-
-    params = []
+    y_n = norm.normalize_y(y3) if y3 is not None else None
+    model = _build_model(cfg, np.random.default_rng(cfg["seed"]))
+    params = [p for _, p in model.parameters()]
     pm = None
     log_sigma = None
-    diagnostics = LoglikDiagnostics()
     if loss_kind == "pem":
         pm = PemModel(model, cfg["noise_n_b"], cfg["noise_n_a"])
-        named = pm.parameters()
-        y_n = norm.normalize_y(y3)
-    elif loss_kind == "mse":
-        named = model.parameters()
-        y_n = norm.normalize_y(y3)
-    else:
-        if not cfg["quantizer"]:
-            raise UsageError("quantized loss needs --quantizer (JSON with thresholds)")
-        qdoc = fileio.read_json(cfg["quantizer"])
-        if "thresholds" not in qdoc:
-            raise UsageError("quantizer JSON must contain a thresholds array")
-        qz = Quantizer(np.asarray(qdoc["thresholds"], dtype=float))
-        try:
-            lo, hi = qz.bin_edges(out_col)
-        except ValueError as exc:
-            raise ValueError(f"{cfg['data']}: {exc}") from None
+        params += [pm.noise_b, pm.noise_a]
+    if loss_kind == "quantized":
+        lo, hi = _bin_edges(cfg, out_col)
         log_sigma = Parameter(np.log(cfg["init_sigma"]), "noise.log_sigma_e")
-        named = model.parameters() + [("noise.log_sigma_e", log_sigma)]
-    params = [p for _, p in named]
+        params.append(log_sigma)
+    diagnostics = LoglikDiagnostics()
 
     # minibatching (off by default) samples whole sequences per iteration;
     # splitting one sequence would violate the rest-initialization convention
     batch_size = cfg["batch_size"]
     n_seq = u_n.shape[0]
-    if batch_size:
-        if not 0 < batch_size < n_seq:
-            raise UsageError("batch_size must be positive and smaller than the sequence count")
-        batch_rng = np.random.default_rng(cfg["seed"] + 1)
+    if batch_size >= n_seq:  # the domain already rules out a negative size
+        raise UsageError("batch_size must be smaller than the sequence count")
+    batch_rng = np.random.default_rng(cfg["seed"] + 1) if batch_size else None
 
     def pick_rows():
         if not batch_size:
@@ -358,19 +339,12 @@ def cmd_train(cfg):
         "clamped_total": diagnostics.clamped,
         "wall_time_s": wall,
     }
-    if kind == "y":
-        y_sim = model_file.simulate(u3)
-        report["train_fit_percent"] = fit_index(out_col, y_sim[:, :, 0])
-        report["train_rmse"] = rmse(out_col, y_sim[:, :, 0])
+    if y3 is not None:
+        report["train_fit_percent"], report["train_rmse"] = _fit(model_file, u, out_col)
     if log_sigma is not None:
         report["sigma_e"] = float(np.exp(log_sigma.value))
     if cfg["test_data"]:
-        u_t, y_t, kind_t = fileio.read_dataset(cfg["test_data"])
-        if kind_t != "y":
-            raise UsageError("test data must contain a y column")
-        y_sim = model_file.simulate(u_t[:, :, np.newaxis])
-        report["test_fit_percent"] = fit_index(y_t, y_sim[:, :, 0])
-        report["test_rmse"] = rmse(y_t, y_sim[:, :, 0])
+        report["test_fit_percent"], report["test_rmse"] = _fit(model_file, u_test, y_test)
     fileio.write_json(os.path.join(out, "report.json"), report)
 
     print(f"trained {cfg['arch']} with {loss_kind} loss: "
@@ -391,9 +365,7 @@ def cmd_eval(cfg):
     u, y, kind = fileio.read_dataset(cfg["data"])
     if kind != "y":
         raise UsageError("eval needs a dataset with a real-valued y column")
-    y_sim = model_file.simulate(u[:, :, np.newaxis])[:, :, 0]
-    fit = fit_index(y, y_sim)
-    err = rmse(y, y_sim)
+    fit, err = _fit(model_file, u, y)
     print(f"fit: {fit:.4f} %")
     print(f"rmse: {err:.6g}")
     report = {"version": 1, "fit_percent": fit, "rmse": err}

@@ -151,9 +151,9 @@ def train(params, build_loss, config):
                      "batch_element": exc.batch_index}
             if restores == MAX_LR_HALVINGS:
                 events.append({"event": "divergence_abort", **where, "lr": adam.lr})
-                raise TrainingDivergedError(restores + 1, np.asarray(trace), events)
-            adam.restore(last_good)
-            adam.lr *= 0.5
+                raise TrainingDivergedError(restores, np.asarray(trace), events)
+            # halve the rate in use, not the snapshot's, so recurring divergences compound
+            adam.restore({**last_good, "lr": 0.5 * adam.lr})
             restores += 1
             events.append({"event": "divergence_restore", **where, "lr": adam.lr})
             continue

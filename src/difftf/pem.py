@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 
 from .blocks import MimoTransferFunction
-from .tape import Tape
 from .tf_core import TransferFunction, frequency_response, impulse_response
 
 
@@ -44,15 +43,11 @@ class PemModel:
         return out
 
     def _error_nodes(self, tape, u, y):
-        """Record d = y - M(u) and the noise grid's output Hc(q) d."""
-        u_node = u if hasattr(u, "value") else tape.constant(u)
-        y_node = y if hasattr(y, "value") else tape.constant(y)
+        """Record d = y - M(u) for (batch, T, 1) arrays, and the noise grid's output Hc(q) d."""
+        u_node = tape.constant(u)
+        y_node = tape.constant(y)
         d = tape.sub(y_node, self.model.apply(tape, u_node))
         return d, self.noise.apply(tape, d)
-
-    def prediction_error_node(self, tape, u, y):
-        """eps = (y - M(u)) + Hc(q)(y - M(u)), differentiable end to end."""
-        return tape.add(*self._error_nodes(tape, u, y))
 
     def pem_loss_node(self, tape, u, y):
         """mean(eps^2) as one `pem_loss` node over d and Hc d.
@@ -72,9 +67,9 @@ class PemModel:
 
 
 def prediction_error(model, u, y):
-    """Prediction error values for (batch, T, 1) arrays, no gradients kept."""
-    tape = Tape()
-    return model.prediction_error_node(tape, u, y).value
+    """eps = d + Hc(q) d with d = y - M(u), for (batch, T, 1) arrays, without a tape."""
+    d = y - model.model.simulate(u)
+    return d + model.noise.simulate(d)
 
 
 def one_step_predictor(model, u, y):
@@ -88,8 +83,8 @@ def one_step_predictor(model, u, y):
 
 def pem_loss(model, u, y):
     """Mean squared prediction error."""
-    tape = Tape()
-    return model.pem_loss_node(tape, u, y).value
+    eps = prediction_error(model, u, y)
+    return float(np.mean(eps * eps))
 
 
 def invert_monic_noise_filter(h_check):

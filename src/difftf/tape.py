@@ -163,8 +163,6 @@ class Tape:
         if self._swept:
             raise ValueError("backward already ran on this tape; record a new one")
         self._swept = True
-        for node in self._nodes:
-            node.adjoint = None
         loss.adjoint = 1.0
         for node in reversed(self._nodes):
             if node.adjoint is None or node.vjp is None:

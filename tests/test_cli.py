@@ -105,6 +105,17 @@ class TestTrain:
                     "--iterations", 1, "--out", tmp_path / "r"])
         assert code == 1
 
+    @pytest.mark.parametrize("doc", [5, {"edges": [0.0, 1.0, 2.0]}])
+    def test_quantizer_file_without_thresholds_is_usage_error(self, rng, tmp_path, doc):
+        data = tmp_path / "d.csv"
+        write_dataset(data, rng.normal(0, 1, 32), z=rng.integers(0, 2, 32))
+        write_json(tmp_path / "q.json", doc)
+        code = run(["train", "--data", data, "--arch", "fir", "--loss", "quantized",
+                    "--quantizer", tmp_path / "q.json", "--iterations", 1,
+                    "--out", tmp_path / "r"])
+        assert code == 1
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("bad_bin", [12, -1])
     def test_out_of_range_bin_index_is_data_error(self, rng, tmp_path, capsys, bad_bin):
         data = tmp_path / "d.csv"
@@ -159,6 +170,24 @@ class TestTrain:
         assert [e["event"] for e in events] == ["divergence_restore"] * 5 + ["divergence_abort"]
         assert all(e["pass"] == "forward" and e["t"] == 3 for e in events)
         assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("test_file, code", [("absent.csv", 3), ("z.csv", 1)])
+    def test_bad_test_data_fails_before_training(self, rng, tmp_path, monkeypatch,
+                                                 test_file, code):
+        from difftf import cli
+
+        def no_training(*args):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        data = tmp_path / "d.csv"
+        write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
+        write_dataset(tmp_path / "z.csv", rng.normal(0, 1, 64), z=rng.integers(0, 12, 64))
+        out = tmp_path / "run"
+        assert run(["train", "--data", data, "--arch", "fir", "--loss", "mse",
+                    "--iterations", 5, "--test-data", tmp_path / test_file,
+                    "--out", out]) == code
+        assert not out.exists()
 
     def test_loss_kind_data_mismatch(self, rng, tmp_path):
         data = tmp_path / "d.csv"
@@ -342,6 +371,22 @@ class TestGradcheckCommand:
 
 
 class TestUsage:
+    def test_settings_tables_are_pinned(self):
+        from difftf.cli import _DISPATCH
+
+        keys = {name: sorted(table) for name, (_handler, table) in _DISPATCH.items()}
+        assert keys == {
+            "generate": ["T", "band", "kind", "out", "realizations", "rms_levels", "seed",
+                         "sigma_e", "test_T"],
+            "train": ["arch", "batch_size", "data", "fir_taps", "hidden", "init_sigma",
+                      "iterations", "log_every", "loss", "lr", "n_a", "n_b", "n_k",
+                      "noise_n_a", "noise_n_b", "out", "plateau_patience", "plateau_rtol",
+                      "quantizer", "seed", "test_data"],
+            "eval": ["bode", "data", "model", "report", "truth"],
+            "gradcheck": ["seed"],
+        }
+        assert sum(map(len, keys.values())) == 36
+
     def test_missing_required_settings(self):
         assert run(["generate"]) == 1
 
@@ -363,6 +408,7 @@ class TestUsage:
         ("train-pem", ["--lr", "inf"]),
         ("train-pem", ["--n-b", -1]),
         ("train-pem", ["--n-a", -1]),
+        ("train-pem", ["--n-k", -1, "--arch", "fir"]),
         ("train-pem", ["--noise-n-b", -1]),
         ("train-pem", ["--noise-n-a", -1]),
         ("train-pem", ["--fir-taps", 0, "--arch", "fir"]),

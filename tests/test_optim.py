@@ -302,10 +302,22 @@ class TestTrain:
 
         with pytest.raises(TrainingDivergedError) as err:
             train([p], always_diverges, TrainConfig(iterations=10, lr=0.1))
-        assert err.value.restores == 6  # MAX_LR_HALVINGS + 1
+        assert err.value.restores == 5  # MAX_LR_HALVINGS
+        assert "after 5 divergence recoveries" in str(err.value)
         events = err.value.events
         assert [e["event"] for e in events] == ["divergence_restore"] * 5 + ["divergence_abort"]
         assert (events[-1]["iteration"], events[-1]["pass"], events[-1]["t"]) == (0, "forward", 0)
+
+    def test_recurring_divergence_compounds_halving(self):
+        p = Parameter(np.array([1.0]), "p")
+
+        def always_diverges():
+            raise FilterDivergenceError(0)
+
+        with pytest.raises(TrainingDivergedError) as err:
+            train([p], always_diverges, TrainConfig(iterations=10, lr=0.1))
+        restores = [e["lr"] for e in err.value.events if e["event"] == "divergence_restore"]
+        assert restores == [0.05, 0.025, 0.0125, 0.00625, 0.003125]
 
     def test_skipped_steps_are_events(self):
         p = Parameter(np.array([1.0]), "p")

@@ -189,6 +189,17 @@ class TestPemLoss:
             assert np.array_equal(got, want)
         assert any(np.any(g != 0.0) for g in fused_grads)
 
+    def test_value_helpers_equal_the_tape_path(self, rng):
+        pm = PemModel(build_wh(n_b=2, n_a=2, hidden=3, rng=rng))
+        pm.noise_b.value[:] = rng.normal(0.0, 0.3, pm.noise_b.value.shape)
+        pm.noise_a.value[:] = [-0.4, 0.1]
+        u = rng.normal(0.0, 1.0, (3, 500, 1))
+        y = rng.normal(0.0, 1.0, (3, 500, 1))
+        tape = Tape()
+        d, hd = pm._error_nodes(tape, u, y)
+        assert np.array_equal(prediction_error(pm, u, y), d.value + hd.value)
+        assert pem_loss(pm, u, y) == pm.pem_loss_node(Tape(), u, y).value
+
 
 class TestNoiseFilter:
     def test_monic_inverse_impulse_response_leads_with_one(self, rng):
