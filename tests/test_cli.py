@@ -408,7 +408,6 @@ class TestUsage:
         ("train-pem", ["--lr", "inf"]),
         ("train-pem", ["--n-b", -1]),
         ("train-pem", ["--n-a", -1]),
-        ("train-pem", ["--n-k", -1, "--arch", "fir"]),
         ("train-pem", ["--noise-n-b", -1]),
         ("train-pem", ["--noise-n-a", -1]),
         ("train-pem", ["--fir-taps", 0, "--arch", "fir"]),
@@ -416,6 +415,7 @@ class TestUsage:
         ("train-pem", ["--plateau-patience", -1]),
         ("train-pem", ["--log-every", -1]),
         ("gradcheck", ["--seed", -1]),
+        ("train-pem", ["--n-k", -1, "--arch", "fir"]),
     ])
     def test_out_of_range_setting_is_usage_error_before_any_work(
         self, tmp_path, capsys, base, bad
