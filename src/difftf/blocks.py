@@ -4,17 +4,115 @@ A block-oriented model is an ordered sequence of blocks with matching channel
 widths, applied causally to a (batch, T, channels) series. Linear blocks are
 grids of SISO rational filters (output channel o sums the filtered input
 channels); static blocks act independently at every time step.
+
+The cells of a filter grid and the nets of a parallel static block are
+independent branches. On a process allowed more than one CPU, branches of
+MIN_BRANCH_SAMPLES samples or more run on two threads (see run_branches);
+lfilter, tanh and matmul release the GIL. Every branch writes its own slice
+or returns its own array, and sums across branches stay on the calling
+thread in the serial order, so the results are bit for bit those of the
+serial path.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import queue
+import threading
+from functools import partial
 
 import numpy as np
 
 from .tape import Parameter
 from . import tf_grad
-from .tf_core import TransferFunction, filter_rows
+from .tf_core import FilterDivergenceError, TransferFunction, filter_rows
+
+_worker = None  # the job queue of run_branches' worker thread, started on first use
+_worker_lock = threading.Lock()  # so that concurrent first uses start one worker
+
+
+def _forget_worker():
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+# a forked child has no worker thread: it starts its own on first use
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _results(jobs):
+    """(result, None) or (None, exception) of each job, run in order."""
+    out = []
+    for job in jobs:
+        try:
+            out.append((job(), None))
+        except BaseException as exc:  # raised on the calling thread
+            out.append((None, exc))
+    return out
+
+
+def _serve(jobs):
+    """The worker thread: runs each list of jobs it is handed, in order.
+
+    It keeps no reference to a list's jobs or results once they are handed
+    back, so the arrays they hold are freed as soon as the caller drops them.
+    """
+    while True:
+        batch, done = jobs.get()
+        done.put(_results(batch))
+        del batch, done
+
+
+# Handing jobs to the worker and back costs about 0.1-0.7 ms on a 2-vCPU VM;
+# a branch over fewer samples than this has too little work to pay for it.
+MIN_BRANCH_SAMPLES = 16384
+
+
+def branch_threads(n_jobs, samples):
+    """Whether n_jobs independent branches of `samples` samples each run on
+    two threads: there is more than one, each is large enough, and this
+    process may run on more than one CPU."""
+    return (n_jobs > 1 and samples >= MIN_BRANCH_SAMPLES
+            and len(os.sched_getaffinity(0)) > 1)
+
+
+def run_branches(jobs, samples):
+    """Results of the independent callables jobs, in list order.
+
+    On two threads when branch_threads(len(jobs), samples): job 0 runs on
+    the calling thread and the rest, in order, on one long-lived worker
+    thread; the first exception in list order is raised once every job has
+    finished. Otherwise the jobs run one after the other on the calling
+    thread. A job must not call run_branches itself.
+    """
+    if not branch_threads(len(jobs), samples):
+        return [job() for job in jobs]
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_worker,), name="difftf-branches",
+                             daemon=True).start()
+        worker = _worker
+    done = queue.SimpleQueue()
+    worker.put((jobs[1:], done))
+    try:
+        first = jobs[0]()
+    finally:
+        rest = done.get()
+    for _, exc in rest:
+        if exc is not None:
+            raise exc
+    return [first, *(result for result, _ in rest)]
+
+
+def _in_cell(o, i, fn, *args):
+    """fn(*args), a FilterDivergenceError it raises re-raised naming grid cell (o, i)."""
+    try:
+        return fn(*args)
+    except FilterDivergenceError as exc:
+        raise FilterDivergenceError(exc.t_index, exc.batch_index, (o, i)) from None
 
 
 class MimoTransferFunction:
@@ -61,23 +159,27 @@ class MimoTransferFunction:
         return [("b", self.b), ("a", self.a)]
 
     def _forward(self, x):
-        """Cells, per-cell outputs and the (batch, T, out_channels) output for x."""
-        cells = [[self.cell(o, i) for i in range(self.in_channels)]
-                 for o in range(self.out_channels)]
-        cell_y = [[filter_rows(c, x[:, :, i]) for i, c in enumerate(row)] for row in cells]
-        if self.out_channels == self.in_channels == 1:
-            return cells, cell_y, cell_y[0][0][:, :, np.newaxis]
+        """The (o, i) pairs in output-major order, the cells and their outputs
+        in that order, and the (batch, T, out_channels) output for x."""
+        pairs = [(o, i) for o in range(self.out_channels) for i in range(self.in_channels)]
+        cells = [self.cell(o, i) for o, i in pairs]
+        jobs = [partial(_in_cell, o, i, filter_rows, cell, x[:, :, i])
+                for (o, i), cell in zip(pairs, cells)]
+        cell_y = run_branches(jobs, x.shape[0] * x.shape[1])
+        if len(pairs) == 1:
+            return pairs, cells, cell_y, cell_y[0][:, :, np.newaxis]
         # each channel is written from its first cell, not added into zeros
         y = np.empty((x.shape[0], x.shape[1], self.out_channels))
-        for o, (first, *rest) in enumerate(cell_y):
-            y[:, :, o] = first
-            for y_oi in rest:
+        for (o, i), y_oi in zip(pairs, cell_y):
+            if i == 0:
+                y[:, :, o] = y_oi
+            else:
                 y[:, :, o] += y_oi
-        return cells, cell_y, y
+        return pairs, cells, cell_y, y
 
     def simulate(self, x):
         """Plain forward on a (batch, T, in_channels) array."""
-        return self._forward(x)[2]
+        return self._forward(x)[3]
 
     def apply(self, tape, x_node):
         """Record one MIMO node; backward runs one reverse all-pole pass per cell."""
@@ -88,36 +190,42 @@ class MimoTransferFunction:
             raise ValueError(
                 f"width mismatch: block expects {self.in_channels} channels, got {x.shape[2]}"
             )
-        cells, cell_y, y = self._forward(x)
+        pairs, cells, cell_y, y = self._forward(x)
 
         def vjp(g):
-            # every cell writes its own b and a slice; input channel i is
-            # written by output 0 and added into by the further outputs
+            # every cell writes its own b and a slice and returns its share of
+            # x_bar; input channel i is written from output 0's share and added
+            # into from the further outputs', in the serial order
             b_bar = np.empty_like(self.b.value) if b_node.requires_grad else None
             a_bar = np.empty_like(self.a.value) if a_node.requires_grad else None
-            x_bar = np.empty_like(x) if x_node.requires_grad else None
             batch = x.shape[0]
             pad = max(self.n_k + self.n_b, self.n_a)  # the largest lag
             if b_bar is not None:
                 x_gap = [tf_grad.gapped(x[:, :, i], pad) for i in range(self.in_channels)]
-            for o in range(self.out_channels):
-                g_o = g[:, :, o]
-                for i in range(self.in_channels):
-                    cell = cells[o][i]
-                    # w = A^-T g_o, reversed back while copied into the gapped buffer
-                    all_pole = TransferFunction(np.ones(1), cell.a)
-                    w = tf_grad.gapped(tf_grad.grad_u_rows(all_pole, g_o), pad)
-                    if b_bar is not None:
-                        b_bar[o, i] = tf_grad.grad_b_rows(w, x_gap[i], self.n_b, self.n_k)
-                    if a_bar is not None and self.n_a > 0:
-                        y_gap = tf_grad.gapped(cell_y[o][i], pad)
-                        a_bar[o, i] = tf_grad.grad_a_rows(w, y_gap, self.n_a)
-                    if x_bar is not None:
-                        x_bar_oi = tf_grad.ungapped(tf_grad.grad_x_rows(cell, w), batch, pad)
-                        if o == 0:
-                            x_bar[:, :, i] = x_bar_oi
-                        else:
-                            x_bar[:, :, i] += x_bar_oi
+
+            def cell_adjoints(o, i, cell, y_oi):
+                # w = A^-T g_o, reversed back while copied into the gapped buffer
+                all_pole = TransferFunction(np.ones(1), cell.a)
+                w = tf_grad.gapped(tf_grad.grad_u_rows(all_pole, g[:, :, o]), pad)
+                if b_bar is not None:
+                    b_bar[o, i] = tf_grad.grad_b_rows(w, x_gap[i], self.n_b, self.n_k)
+                if a_bar is not None and self.n_a > 0:
+                    a_bar[o, i] = tf_grad.grad_a_rows(w, tf_grad.gapped(y_oi, pad), self.n_a)
+                if x_node.requires_grad:
+                    return tf_grad.ungapped(tf_grad.grad_x_rows(cell, w), batch, pad)
+                return None
+
+            jobs = [partial(_in_cell, o, i, cell_adjoints, o, i, cell, y_oi)
+                    for (o, i), cell, y_oi in zip(pairs, cells, cell_y)]
+            x_bar_cells = run_branches(jobs, batch * x.shape[1])
+            x_bar = None
+            if x_node.requires_grad:
+                x_bar = np.empty_like(x)
+                for (o, i), x_bar_oi in zip(pairs, x_bar_cells):
+                    if o == 0:
+                        x_bar[:, :, i] = x_bar_oi
+                    else:
+                        x_bar[:, :, i] += x_bar_oi
             return (b_bar, a_bar, x_bar)
 
         return tape.custom(y, (b_node, a_node, x_node), vjp, op="mimo_filter")
@@ -159,6 +267,11 @@ def _stack(nets):
     return tuple(np.stack(values) for values in columns)
 
 
+def _nets(arrays, k):
+    """Net k's slices (leading axis kept) of arrays stacked on the net axis."""
+    return [None if a is None else a[k : k + 1] for a in arrays]
+
+
 def static_nets_forward(w1, b1, w2, b2, x):
     """G independent tanh nets y = W2 tanh(W1 x + b1) + b2 on a (batch, T, G*I) series.
 
@@ -167,16 +280,31 @@ def static_nets_forward(w1, b1, w2, b2, x):
     w2 (G, O, H), b2 (G, O). Returns the (batch, T, G*O) output, the input as
     (G, I, N) and the hidden activations as one contiguous (G, H, N) array,
     N = batch*T, so that per-unit broadcasts and reductions run along rows.
+    With branch threads, each net writes its own slice of hid and yT.
     """
     G, H, I = w1.shape
     xT = _feature_major(x, G, I)
+    hid = np.empty((G, H, xT.shape[2]))
+    yT = np.empty((G, w2.shape[1], xT.shape[2]))
+    arrays = (w1, b1, w2, b2, xT, hid, yT)
+    if branch_threads(G, xT.shape[2]):
+        run_branches([partial(_nets_forward_into, *_nets(arrays, k)) for k in range(G)],
+                     xT.shape[2])
+    else:
+        _nets_forward_into(*arrays)
+    return _time_major(yT, x.shape[0], x.shape[1]), xT, hid
+
+
+def _nets_forward_into(w1, b1, w2, b2, xT, hid, yT):
     # a width-1 product is written as a broadcast: matmul over a length-1 axis is slow
-    hid = w1 * xT if I == 1 else np.matmul(w1, xT)
+    if w1.shape[2] == 1:
+        np.multiply(w1, xT, out=hid)
+    else:
+        np.matmul(w1, xT, out=hid)
     hid += b1[:, :, np.newaxis]
     np.tanh(hid, out=hid)
-    yT = np.matmul(w2, hid)
+    np.matmul(w2, hid, out=yT)
     yT += b2[:, :, np.newaxis]
-    return _time_major(yT, x.shape[0], x.shape[1]), xT, hid
 
 
 def static_nets_vjp(w1, w2, xT, hid, g, need_x=True):
@@ -185,26 +313,41 @@ def static_nets_vjp(w1, w2, xT, hid, g, need_x=True):
     Consumes hid: it is overwritten with damp = 1 - hid^2, so the vjp
     allocates nothing the size of the hidden array. The pre-activation
     adjoint z = damp * W2^T g is never formed either: every reduction of z is
-    written as one of damp against rows of length N.
+    written as one of damp against rows of length N. With branch threads,
+    each net writes its own slice of the stacked adjoints.
     """
     G, H, I = w1.shape
     O = w2.shape[1]
     batch, T, _ = g.shape
     gT = _feature_major(g, G, O)
-    w2_bar = np.matmul(gT, hid.transpose(0, 2, 1))
+    bars = (np.empty_like(w1), np.empty((G, H)), np.empty_like(w2), np.empty((G, O)))
+    x_bar = x_barT = None
+    if need_x:
+        x_bar = np.empty((batch, T, G * I))
+        x_barT = x_bar.reshape(-1, G * I).T.reshape(G, I, -1)  # a view: written in place
+    arrays = (w1, w2, xT, hid, gT, *bars, x_barT)
+    if branch_threads(G, xT.shape[2]):
+        run_branches([partial(_nets_vjp_into, *_nets(arrays, k)) for k in range(G)],
+                     xT.shape[2])
+    else:
+        _nets_vjp_into(*arrays)
+    return (*bars, x_bar)
+
+
+def _nets_vjp_into(w1, w2, xT, hid, gT, w1_bar, b1_bar, w2_bar, b2_bar, x_barT):
+    G, H, I = w1.shape
+    O = w2.shape[1]
+    np.matmul(gT, hid.transpose(0, 2, 1), out=w2_bar)
     damp = np.multiply(hid, hid, out=hid)
     np.subtract(1.0, damp, out=damp)
     gx = (gT[:, :, np.newaxis] * xT[:, np.newaxis]).reshape(G, O * I, -1)
-    b1_bar = np.einsum("goh,gho->gh", w2, np.matmul(damp, gT.transpose(0, 2, 1)))
+    np.einsum("goh,gho->gh", w2, np.matmul(damp, gT.transpose(0, 2, 1)), out=b1_bar)
     m = np.matmul(damp, gx.transpose(0, 2, 1)).reshape(G, H, O, I)
-    w1_bar = np.einsum("goh,ghoi->ghi", w2, m)
-    x_bar = None
-    if need_x:
+    np.einsum("goh,ghoi->ghi", w2, m, out=w1_bar)
+    if x_barT is not None:
         w2w1 = (w2[:, :, np.newaxis, :] * w1.transpose(0, 2, 1)[:, np.newaxis]).reshape(G, -1, H)
-        x_bar = np.empty((batch, T, G * I))
-        x_barT = x_bar.reshape(-1, G * I).T.reshape(G, I, -1)  # a view: written in place
         np.einsum("gon,goin->gin", gT, np.matmul(w2w1, damp).reshape(G, O, I, -1), out=x_barT)
-    return w1_bar, b1_bar, w2_bar, gT.sum(axis=2), x_bar
+    np.sum(gT, axis=2, out=b2_bar)
 
 
 def _apply_static_nets(tape, nets, x_node):

@@ -120,6 +120,8 @@ def _resolve_config(args, keys):
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad config file: {exc}")
+        if not isinstance(doc, dict):
+            raise UsageError("config file must hold a JSON object")
         unknown = set(doc) - set(keys)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -207,7 +209,11 @@ def _bin_edges(cfg, z):
     qdoc = fileio.read_json(cfg["quantizer"])
     if not isinstance(qdoc, dict) or "thresholds" not in qdoc:
         raise UsageError("quantizer JSON must contain a thresholds array")
-    qz = Quantizer(np.asarray(qdoc["thresholds"], dtype=float))
+    try:
+        qz = Quantizer(np.asarray(qdoc["thresholds"], dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--quantizer {cfg['quantizer']}: thresholds must be a flat, "
+                         f"increasing, finite list of numbers ({exc})")
     try:
         return qz.bin_edges(z)
     except ValueError as exc:

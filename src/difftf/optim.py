@@ -114,7 +114,8 @@ def train(params, build_loss, config):
     backward pass, the last iterate whose both passes succeeded is restored,
     the learning rate halved and training continues, up to MAX_LR_HALVINGS
     times; after that TrainingDivergedError is raised. TrainResult.events
-    records each restore (iteration, pass, t, batch element and halved lr),
+    records each restore (iteration, pass, t, batch element, the grid op
+    and cell when a filter grid diverged, and the halved lr),
     each Adam step skipped on a non-finite gradient (iteration and Adam's
     step count t) and a plateau stop (last iteration and best iteration).
     The parameters are left at the best-loss iterate, as views of one vector
@@ -149,6 +150,8 @@ def train(params, build_loss, config):
         except FilterDivergenceError as exc:
             where = {"iteration": it, "pass": stage, "t": exc.t_index,
                      "batch_element": exc.batch_index}
+            if exc.cell is not None:
+                where.update(op="mimo_filter", cell=list(exc.cell))
             if restores == MAX_LR_HALVINGS:
                 events.append({"event": "divergence_abort", **where, "lr": adam.lr})
                 raise TrainingDivergedError(restores, np.asarray(trace), events)

@@ -30,12 +30,16 @@ _PDF_CLIP = 60.0
 
 @dataclass(frozen=True)
 class Quantizer:
-    """Strictly increasing thresholds q_0 < ... < q_K defining K >= 2 bins."""
+    """Strictly increasing finite thresholds q_0 < ... < q_K defining K >= 2 bins."""
 
     thresholds: np.ndarray
 
     def __post_init__(self):
-        thr = np.asarray(self.thresholds, dtype=float).reshape(-1)
+        thr = np.asarray(self.thresholds, dtype=float)
+        if thr.ndim != 1:
+            raise ValueError(f"thresholds must be a flat list, got shape {thr.shape}")
+        if not np.all(np.isfinite(thr)):
+            raise ValueError("thresholds must be finite")
         if thr.size < 3:
             raise ValueError("need at least 3 thresholds (K >= 2 bins)")
         if not np.all(np.diff(thr) > 0):

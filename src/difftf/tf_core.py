@@ -16,15 +16,18 @@ from scipy.signal import lfilter
 class FilterDivergenceError(RuntimeError):
     """Filter output left the finite range (A(q) unstable, typically mid-training).
 
-    Carries the first offending time index and the batch element it occurred in.
+    Carries the first offending time index, the batch element it occurred in
+    and, when a filter grid raised it, the grid cell (o, i).
     """
 
-    def __init__(self, t_index, batch_index=0):
+    def __init__(self, t_index, batch_index=0, cell=None):
         self.t_index = int(t_index)
         self.batch_index = int(batch_index)
+        self.cell = None if cell is None else (int(cell[0]), int(cell[1]))
+        where = "" if cell is None else f" in grid cell {self.cell}"
         super().__init__(
             f"non-finite filter output, first at t={self.t_index} "
-            f"(batch element {self.batch_index})"
+            f"(batch element {self.batch_index}){where}"
         )
 
 

@@ -2,6 +2,7 @@
 numbers; the two training criteria run the full CLI pipelines on synthetic
 data and take several minutes each."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -187,13 +188,16 @@ PIPELINE_TIMEOUT_S = 3600
 class Pipeline:
     """generate, then train, as `difftf.cli` subprocesses from a background thread.
 
-    Each subprocess uses one BLAS thread, so the two pipelines share the
-    cores without oversubscribing them.
+    Each subprocess uses one BLAS thread and, given a CPU, is pinned to it,
+    so the two pipelines share the cores without oversubscribing them: a
+    process allowed one CPU runs its filter-grid cells and static nets on
+    one thread (see `blocks.run_branches`).
     """
 
-    def __init__(self, root, argvs):
+    def __init__(self, root, argvs, cpu=None):
         self.data, self.run = root / "data", root / "run"
         self.argvs = argvs(self.data, self.run)
+        self.cpu = cpu
         self.failure = None
         self.elapsed = None
         self._proc = None
@@ -214,6 +218,10 @@ class Pipeline:
                 self._proc = subprocess.Popen(
                     [sys.executable, "-m", "difftf.cli", *argv], env=env,
                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                if self.cpu is not None:
+                    # pinned while the interpreter starts, before any work
+                    with contextlib.suppress(ProcessLookupError):
+                        os.sched_setaffinity(self._proc.pid, {self.cpu})
             _, err = self._proc.communicate()
             if self._proc.returncode:
                 self.failure = (f"`difftf {argv[0]}` exited {self._proc.returncode}; "
@@ -249,10 +257,13 @@ def pipelines(request, tmp_path_factory):
     `wh_run` or `pwh_run`); the rest of the suite runs while they train, and
     each criterion waits on its own pipeline.
     """
+    names = [name for name in PIPELINES
+             if any(f"{name}_run" in item.fixturenames for item in request.session.items)]
+    cpus = sorted(os.sched_getaffinity(0))
     started = {
-        name: Pipeline(tmp_path_factory.mktemp(f"{name}_acceptance"), argvs)
-        for name, argvs in PIPELINES.items()
-        if any(f"{name}_run" in item.fixturenames for item in request.session.items)
+        name: Pipeline(tmp_path_factory.mktemp(f"{name}_acceptance"), PIPELINES[name],
+                       cpus[k % len(cpus)] if len(cpus) > 1 else None)
+        for k, name in enumerate(names)
     }
     yield started
     for pipeline in started.values():

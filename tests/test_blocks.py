@@ -1,8 +1,14 @@
 import json
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from difftf import blocks
 from difftf.blocks import (
     BlockModel,
     MimoTransferFunction,
@@ -14,12 +20,14 @@ from difftf.blocks import (
     _BLOCK_KINDS,
     build_pwh,
     build_wh,
+    run_branches,
     static_nets_forward,
     static_nets_vjp,
 )
 from difftf.gradcheck import mse_loss_on, parameter_errors
+from difftf.optim import TrainConfig, TrainingDivergedError, train
 from difftf.tape import Parameter, Tape
-from difftf.tf_core import TransferFunction, filter_forward, random_stable_tf
+from difftf.tf_core import FilterDivergenceError, TransferFunction, filter_forward, random_stable_tf
 
 
 def build_wide_nets(n_b=2, n_a=2, hidden=3, rng=None):
@@ -195,6 +203,194 @@ class TestMlp:
     def test_parallel_nets_must_share_hidden_width(self, rng):
         with pytest.raises(ValueError, match="hidden width"):
             ParallelMlp([Mlp(1, 3, 1, rng=rng), Mlp(1, 4, 1, rng=rng)])
+
+
+def force_branches(monkeypatch, threaded):
+    """Take the two-thread path for every multi-branch call, whatever its size, or
+    the serial path for all."""
+    monkeypatch.setattr(blocks, "branch_threads",
+                        (lambda n, samples: n > 1) if threaded else (lambda n, samples: False))
+
+
+def grid_pass(grid, x, g):
+    """y and the (b, a, x) adjoints of one grid node for the output adjoint g."""
+    tape = Tape()
+    y = grid.apply(tape, tape.leaf(Parameter(x)))
+    return (y.value, *y.vjp(g))
+
+
+class TestBranchThreads:
+    def test_job_0_runs_here_and_the_rest_in_order_on_one_worker(self, monkeypatch):
+        force_branches(monkeypatch, True)
+        seen = []
+
+        def job(k):
+            seen.append(k)
+            return k, threading.get_ident()
+
+        out = run_branches([lambda k=k: job(k) for k in range(4)], 1)
+        assert [k for k, _ in out] == [0, 1, 2, 3]
+        assert out[0][1] == threading.get_ident()
+        workers = {ident for _, ident in out[1:]}
+        assert len(workers) == 1 and threading.get_ident() not in workers
+        assert [k for k in seen if k > 0] == [1, 2, 3]
+
+    def test_first_exception_in_list_order_is_raised_after_every_job(self, monkeypatch):
+        force_branches(monkeypatch, True)
+        finished = []
+
+        def fails(exc, delay=0.0):
+            time.sleep(delay)
+            finished.append(exc)
+            raise exc
+
+        late = KeyError("late")
+        jobs = [lambda: 0, lambda: fails(ValueError("first")), lambda: fails(late, 0.05)]
+        with pytest.raises(ValueError, match="first"):
+            run_branches(jobs, 1)
+        assert late in finished
+        # job 0 failing waits for the worker too
+        jobs = [lambda: fails(ValueError("here")), lambda: fails(late, 0.05)]
+        finished.clear()
+        with pytest.raises(ValueError, match="here"):
+            run_branches(jobs, 1)
+        assert late in finished
+
+    def test_concurrent_callers_each_get_their_own_results(self, monkeypatch):
+        force_branches(monkeypatch, True)
+        failures = []
+
+        def caller(c):
+            for r in range(50):
+                jobs = [lambda k=k: (c, r, k) for k in range(3)]
+                if run_branches(jobs, 1) != [(c, r, k) for k in range(3)]:
+                    failures.append((c, r))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert failures == []
+
+    def test_one_cpu_one_branch_or_small_branches_run_serially(self, monkeypatch):
+        big = blocks.MIN_BRANCH_SAMPLES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not blocks.branch_threads(2, big)
+        assert run_branches([threading.get_ident] * 3, big) == [threading.get_ident()] * 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert blocks.branch_threads(2, big)
+        assert not blocks.branch_threads(1, big) and not blocks.branch_threads(2, big - 1)
+        assert run_branches([threading.get_ident] * 3, big - 1) == [threading.get_ident()] * 3
+
+    @pytest.mark.parametrize("out_ch, in_ch", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_threaded_grid_equals_serial_bit_for_bit(self, rng, monkeypatch, out_ch, in_ch):
+        grid = MimoTransferFunction(out_ch, in_ch, 4, 3, 1, rng=rng)
+        grid.a.value[...] = rng.normal(0.0, 0.2, grid.a.value.shape)
+        x = rng.normal(0.0, 1.0, (2, 300, in_ch))
+        g = rng.normal(0.0, 1.0, (2, 300, out_ch))
+        results = []
+        for threaded in (False, True):
+            force_branches(monkeypatch, threaded)
+            results.append(grid_pass(grid, x, g))
+        for serial, threaded in zip(*results):
+            assert np.array_equal(serial, threaded)
+
+    @pytest.mark.parametrize("G, I, O", [(1, 1, 1), (2, 1, 1), (3, 1, 1), (3, 2, 2)])
+    def test_threaded_nets_equal_serial_bit_for_bit(self, rng, monkeypatch, G, I, O):
+        w1, b1 = rng.normal(size=(G, 5, I)), rng.normal(size=(G, 5))
+        w2, b2 = rng.normal(size=(G, O, 5)), rng.normal(size=(G, O))
+        x = rng.normal(0.0, 1.0, (2, 400, G * I))
+        g = rng.normal(0.0, 1.0, (2, 400, G * O))
+        results = []
+        for threaded in (False, True):
+            force_branches(monkeypatch, threaded)
+            y, xT, hid = static_nets_forward(w1, b1, w2, b2, x)
+            results.append((y, *static_nets_vjp(w1, w2, xT, hid, g)))
+        for serial, threaded in zip(*results):
+            assert np.array_equal(serial, threaded)
+
+    def test_forked_child_runs_a_grid_after_a_threaded_section(self, rng, monkeypatch):
+        force_branches(monkeypatch, True)
+        grid = MimoTransferFunction(2, 1, 3, 2, 1, rng=rng)
+        x = rng.normal(0.0, 1.0, (2, 200, 1))
+        expected = grid.simulate(x)  # starts the worker thread
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(30)  # a child left waiting on the parent's worker dies here
+                code = 0 if np.array_equal(grid.simulate(x), expected) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+    @staticmethod
+    def diverging_grid(rng, out_ch=2, in_ch=1, cells=((1, 0),)):
+        """A grid whose listed cells have a pole at 2, and an input that is zero
+        in batch element 0."""
+        grid = MimoTransferFunction(out_ch, in_ch, 2, 1, 0, rng=rng)
+        for o, i in cells:
+            grid.a.value[o, i] = [-2.0]
+        x = rng.normal(0.0, 1.0, (2, 1500, in_ch))
+        x[0] = 0.0
+        return grid, x
+
+    @pytest.mark.parametrize("out_ch, in_ch, cells", [
+        (2, 1, ((1, 0),)),
+        (2, 2, ((1, 0), (0, 1))),  # both diverge: the first in (o, i) order is named
+    ])
+    def test_diverging_cell_is_named_alike_by_both_paths(self, rng, monkeypatch,
+                                                         out_ch, in_ch, cells):
+        grid, x = self.diverging_grid(rng, out_ch, in_ch, cells)
+        raised = []
+        for threaded in (False, True):
+            force_branches(monkeypatch, threaded)
+            with pytest.raises(FilterDivergenceError) as err:
+                grid.simulate(x)
+            raised.append((err.value.t_index, err.value.batch_index, err.value.cell))
+        assert raised[0] == raised[1]
+        assert raised[0][1:] == (1, min(cells))
+        assert f"grid cell {min(cells)}" in str(err.value)
+
+    def test_backward_divergence_names_its_cell_alike_by_both_paths(self, rng, monkeypatch):
+        grid = MimoTransferFunction(2, 1, 2, 1, 0, rng=rng)
+        x = rng.normal(0.0, 1.0, (2, 300, 1))
+        g = np.zeros((2, 300, 2))
+        g[1, 120, 1] = np.inf  # reaches only cell (1, 0)'s reverse pass
+        raised = []
+        for threaded in (False, True):
+            force_branches(monkeypatch, threaded)
+            with pytest.raises(FilterDivergenceError) as err:
+                grid_pass(grid, x, g)
+            raised.append((err.value.t_index, err.value.batch_index, err.value.cell))
+        assert raised[0] == raised[1] == (120, 1, (1, 0))
+
+    def test_divergence_events_name_the_op_and_cell(self, rng):
+        grid, x = self.diverging_grid(rng)
+        target = np.zeros((2, 1500, 2))
+
+        def build_loss():
+            tape = Tape()
+            return tape, mse_loss_on(BlockModel([grid]), x, target)(tape)
+
+        with pytest.raises(TrainingDivergedError) as err:
+            train([grid.b], build_loss, TrainConfig(iterations=3, lr=1e-3))
+        events = err.value.events
+        assert [e["event"] for e in events] == ["divergence_restore"] * 5 + ["divergence_abort"]
+        t = events[0]["t"]
+        assert t > 0
+        for e in events:
+            assert (e["op"], e["cell"], e["pass"], e["t"], e["batch_element"]) == (
+                "mimo_filter", [1, 0], "forward", t, 1)
+        assert json.loads(json.dumps(events)) == events
 
 
 class TestSimulate:

@@ -116,6 +116,25 @@ class TestTrain:
         assert code == 1
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("thresholds", [
+        [[-1.0, 0.0], [0.5, 1.0]], [[-1.0, 0.0], [0.5]], [-1.0, "x", 1.0],
+        [-1.0, 0.0, float("inf")], [1.0, 0.0, -1.0],
+    ])
+    def test_bad_quantizer_thresholds_are_usage_error_naming_the_file(
+            self, rng, tmp_path, capsys, thresholds):
+        data = tmp_path / "d.csv"
+        write_dataset(data, rng.normal(0, 1, 32), z=rng.integers(0, 2, 32))
+        # json.dumps writes inf as Infinity, which json.load reads back
+        (tmp_path / "q.json").write_text(json.dumps({"thresholds": thresholds}))
+        code = run(["train", "--data", data, "--arch", "fir", "--loss", "quantized",
+                    "--quantizer", tmp_path / "q.json", "--iterations", 1,
+                    "--out", tmp_path / "r"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "q.json" in err and "flat, increasing, finite list" in err
+        assert "train.csv" not in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("bad_bin", [12, -1])
     def test_out_of_range_bin_index_is_data_error(self, rng, tmp_path, capsys, bad_bin):
         data = tmp_path / "d.csv"
@@ -223,6 +242,13 @@ class TestTrain:
             cfg_path.write_text(json.dumps({"iterations": value}))
             assert run(["train", "--config", cfg_path]) == 1
             assert "iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [5, "abc", [["iterations", 5]], None])
+    def test_config_file_that_is_no_object_is_usage_error(self, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert run(["gradcheck", "--config", cfg_path]) == 1
+        assert "config file must hold a JSON object" in capsys.readouterr().err
 
     def test_minibatch_samples_sequences(self, tmp_path):
         gen = tmp_path / "gen"

@@ -85,6 +85,15 @@ class TestQuantize:
         with pytest.raises(ValueError, match="strictly increasing"):
             Quantizer([0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("thresholds, match", [
+        ([[-1.0, 0.0], [0.5, 1.0]], "flat list"),
+        ([-1.0, 0.0, np.inf], "finite"),
+        ([-1.0, np.nan, 1.0], "finite"),
+    ])
+    def test_thresholds_must_be_flat_and_finite(self, thresholds, match):
+        with pytest.raises(ValueError, match=match):
+            Quantizer(thresholds)
+
 
 class TestPhiCdf:
     def test_phi_at_zero(self):
