@@ -28,7 +28,7 @@ from .tape import Parameter
 from . import tf_grad
 from .tf_core import FilterDivergenceError, TransferFunction, filter_rows
 
-_worker = None  # the job queue of run_branches' worker thread, started on first use
+_worker = None  # run_branches' worker, started on first use
 _worker_lock = threading.Lock()  # so that concurrent first uses start one worker
 
 
@@ -41,32 +41,105 @@ def _forget_worker():
 os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _results(jobs):
-    """(result, None) or (None, exception) of each job, run in order."""
-    out = []
-    for job in jobs:
-        try:
-            out.append((job(), None))
-        except BaseException as exc:  # raised on the calling thread
-            out.append((None, exc))
-    return out
+class _Branches:
+    """The jobs of one run_branches call, claimed one at a time in list order
+    by the calling thread and the worker, whichever is free first.
 
-
-def _serve(jobs):
-    """The worker thread: runs each list of jobs it is handed, in order.
-
-    It keeps no reference to a list's jobs or results once they are handed
-    back, so the arrays they hold are freed as soon as the caller drops them.
+    A thread never waits for a job nobody has started: if the worker wakes
+    late, the calling thread runs the rest itself and the worker finds
+    nothing left. The calling thread waits only for a job the worker is
+    running.
     """
-    while True:
-        batch, done = jobs.get()
-        done.put(_results(batch))
-        del batch, done
+
+    def __init__(self, jobs):
+        self.jobs = jobs
+        self.size = len(jobs)
+        self.results = [None] * self.size
+        self.errors = [None] * self.size
+        self.claimed = 0
+        self.running = 0  # jobs the worker has claimed and not finished
+        self.cond = threading.Condition(threading.Lock())
+
+    def claim(self, on_worker):
+        """Index of the next unclaimed job, or None when every job is claimed."""
+        with self.cond:
+            k = self.claimed
+            if k == self.size:
+                return None
+            self.claimed += 1
+            self.running += on_worker
+            return k
+
+    def run(self, k, on_worker):
+        """Run job k, keeping its result or exception."""
+        try:
+            self.results[k] = self.jobs[k]()
+        except BaseException as exc:  # raised on the calling thread
+            self.errors[k] = exc
+        if on_worker:
+            with self.cond:
+                self.running -= 1
+                if not self.running:
+                    self.cond.notify()
+
+    def drain(self, on_worker):
+        """Run unclaimed jobs until none is left."""
+        while (k := self.claim(on_worker)) is not None:
+            self.run(k, on_worker)
+
+    def wait(self):
+        """Block until no job is running on the worker, then hand back the
+        results and exceptions and drop every reference to jobs and results:
+        a worker that wakes for this call only after it is over holds
+        nothing the caller has let go of."""
+        with self.cond:
+            while self.running:
+                self.cond.wait()
+            done = self.results, self.errors
+            self.jobs = self.results = self.errors = None
+        return done
 
 
-# Handing jobs to the worker and back costs about 0.1-0.7 ms on a 2-vCPU VM;
-# a branch over fewer samples than this has too little work to pay for it.
-MIN_BRANCH_SAMPLES = 16384
+class _Worker:
+    """One long-lived daemon thread that joins the run_branches calls handed to it.
+
+    A call is handed over only while the worker waits for one. A worker
+    still busy with, or not yet woken for, an earlier call (its CPU taken
+    by other work) is left out, so calls never queue up behind it. It keeps
+    no reference to a call once it has drained it, so the arrays its jobs
+    hold are freed as soon as the caller drops them.
+    """
+
+    def __init__(self):
+        self.calls = queue.SimpleQueue()
+        self.idle = False
+        self.lock = threading.Lock()  # concurrent callers hand over one call at a time
+        threading.Thread(target=self._serve, name="difftf-branches", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.idle = True
+            branches = self.calls.get()
+            branches.drain(True)
+            del branches
+
+    def hand_off(self, branches):
+        """Queue branches for the worker if it is waiting for a call."""
+        with self.lock:
+            if not self.idle:
+                return
+            self.idle = False
+        self.calls.put(branches)
+
+
+# Handing jobs to the worker and back costs about 0.1-0.7 ms on a 2-vCPU VM,
+# and while the host takes CPU time from the VM (steal) the two threads gain
+# little. A branch over fewer samples than this has too little work to pay
+# for that steadily: a PWH model's forward at 40960 samples a branch (three
+# hand-offs) ran at 0.78 to 1.02 of its serial time from one 20 s run to the
+# next as steal went from 5 % to 23 %, against 0.71 to 0.96 for training
+# steps at 81920.
+MIN_BRANCH_SAMPLES = 65536
 
 
 def branch_threads(n_jobs, samples):
@@ -80,31 +153,30 @@ def branch_threads(n_jobs, samples):
 def run_branches(jobs, samples):
     """Results of the independent callables jobs, in list order.
 
-    On two threads when branch_threads(len(jobs), samples): job 0 runs on
-    the calling thread and the rest, in order, on one long-lived worker
-    thread; the first exception in list order is raised once every job has
-    finished. Otherwise the jobs run one after the other on the calling
-    thread. A job must not call run_branches itself.
+    On two threads when branch_threads(len(jobs), samples): the calling
+    thread runs job 0 and one long-lived worker thread joins in, each
+    claiming the next job in list order when it is free; the first
+    exception in list order is raised once every job has finished.
+    Otherwise the jobs run one after the other on the calling thread. A job
+    must not call run_branches itself.
     """
     if not branch_threads(len(jobs), samples):
         return [job() for job in jobs]
     global _worker
     with _worker_lock:
         if _worker is None:
-            _worker = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(_worker,), name="difftf-branches",
-                             daemon=True).start()
+            _worker = _Worker()
         worker = _worker
-    done = queue.SimpleQueue()
-    worker.put((jobs[1:], done))
-    try:
-        first = jobs[0]()
-    finally:
-        rest = done.get()
-    for _, exc in rest:
+    branches = _Branches(jobs)
+    first = branches.claim(False)
+    worker.hand_off(branches)
+    branches.run(first, False)
+    branches.drain(False)
+    results, errors = branches.wait()
+    for exc in errors:
         if exc is not None:
             raise exc
-    return [first, *(result for result, _ in rest)]
+    return results
 
 
 def _in_cell(o, i, fn, *args):

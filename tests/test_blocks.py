@@ -220,20 +220,42 @@ def grid_pass(grid, x, g):
 
 
 class TestBranchThreads:
-    def test_job_0_runs_here_and_the_rest_in_order_on_one_worker(self, monkeypatch):
+    def test_job_0_runs_here_and_every_job_once_on_at_most_one_worker(self, monkeypatch):
         force_branches(monkeypatch, True)
         seen = []
 
         def job(k):
             seen.append(k)
+            time.sleep(0.01)  # long enough for the worker to join in
             return k, threading.get_ident()
 
         out = run_branches([lambda k=k: job(k) for k in range(4)], 1)
         assert [k for k, _ in out] == [0, 1, 2, 3]
         assert out[0][1] == threading.get_ident()
-        workers = {ident for _, ident in out[1:]}
-        assert len(workers) == 1 and threading.get_ident() not in workers
-        assert [k for k in seen if k > 0] == [1, 2, 3]
+        assert sorted(seen) == [0, 1, 2, 3]
+        assert len({ident for _, ident in out} - {threading.get_ident()}) <= 1
+
+    def test_calling_thread_runs_every_job_when_the_worker_is_busy(self, monkeypatch):
+        force_branches(monkeypatch, True)
+        run_branches([lambda: None] * 2, 1)  # starts the worker
+        deadline = time.monotonic() + 30
+        while not blocks._worker.idle and time.monotonic() < deadline:
+            time.sleep(0.001)
+        started, release = threading.Event(), threading.Event()
+
+        class Busy:
+            def drain(self, on_worker):
+                started.set()
+                release.wait(30)
+
+        blocks._worker.hand_off(Busy())
+        try:
+            assert started.wait(30)
+            out = run_branches([threading.get_ident] * 3, 1)
+            assert blocks._worker.calls.empty()  # nothing queued behind the busy worker
+        finally:
+            release.set()
+        assert out == [threading.get_ident()] * 3
 
     def test_first_exception_in_list_order_is_raised_after_every_job(self, monkeypatch):
         force_branches(monkeypatch, True)
