@@ -7,19 +7,19 @@ channels); static blocks act independently at every time step.
 
 The cells of a filter grid and the nets of a parallel static block are
 independent branches. On a process allowed more than one CPU, branches of
-MIN_BRANCH_SAMPLES samples or more run on two threads (see run_branches);
-lfilter, tanh and matmul release the GIL. Every branch writes its own slice
-or returns its own array, and sums across branches stay on the calling
-thread in the serial order, so the results are bit for bit those of the
-serial path.
+MIN_BRANCH_SAMPLES samples or more run on the calling thread and one pool
+thread, which gets only the jobs the caller has not reached (see
+run_branches); lfilter, tanh and matmul release the GIL. Every branch writes
+its own slice or returns its own array, and sums across branches stay on the
+calling thread in the serial order, so the results are bit for bit those of
+the serial path.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -28,108 +28,16 @@ from .tape import Parameter
 from . import tf_grad
 from .tf_core import FilterDivergenceError, TransferFunction, filter_rows
 
-_worker = None  # run_branches' worker, started on first use
-_worker_lock = threading.Lock()  # so that concurrent first uses start one worker
+
+def _new_pool():
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="difftf-branches")
 
 
-def _forget_worker():
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-# a forked child has no worker thread: it starts its own on first use
-os.register_at_fork(after_in_child=_forget_worker)
-
-
-class _Branches:
-    """The jobs of one run_branches call, claimed one at a time in list order
-    by the calling thread and the worker, whichever is free first.
-
-    A thread never waits for a job nobody has started: if the worker wakes
-    late, the calling thread runs the rest itself and the worker finds
-    nothing left. The calling thread waits only for a job the worker is
-    running.
-    """
-
-    def __init__(self, jobs):
-        self.jobs = jobs
-        self.size = len(jobs)
-        self.results = [None] * self.size
-        self.errors = [None] * self.size
-        self.claimed = 0
-        self.running = 0  # jobs the worker has claimed and not finished
-        self.cond = threading.Condition(threading.Lock())
-
-    def claim(self, on_worker):
-        """Index of the next unclaimed job, or None when every job is claimed."""
-        with self.cond:
-            k = self.claimed
-            if k == self.size:
-                return None
-            self.claimed += 1
-            self.running += on_worker
-            return k
-
-    def run(self, k, on_worker):
-        """Run job k, keeping its result or exception."""
-        try:
-            self.results[k] = self.jobs[k]()
-        except BaseException as exc:  # raised on the calling thread
-            self.errors[k] = exc
-        if on_worker:
-            with self.cond:
-                self.running -= 1
-                if not self.running:
-                    self.cond.notify()
-
-    def drain(self, on_worker):
-        """Run unclaimed jobs until none is left."""
-        while (k := self.claim(on_worker)) is not None:
-            self.run(k, on_worker)
-
-    def wait(self):
-        """Block until no job is running on the worker, then hand back the
-        results and exceptions and drop every reference to jobs and results:
-        a worker that wakes for this call only after it is over holds
-        nothing the caller has let go of."""
-        with self.cond:
-            while self.running:
-                self.cond.wait()
-            done = self.results, self.errors
-            self.jobs = self.results = self.errors = None
-        return done
-
-
-class _Worker:
-    """One long-lived daemon thread that joins the run_branches calls handed to it.
-
-    A call is handed over only while the worker waits for one. A worker
-    still busy with, or not yet woken for, an earlier call (its CPU taken
-    by other work) is left out, so calls never queue up behind it. It keeps
-    no reference to a call once it has drained it, so the arrays its jobs
-    hold are freed as soon as the caller drops them.
-    """
-
-    def __init__(self):
-        self.calls = queue.SimpleQueue()
-        self.idle = False
-        self.lock = threading.Lock()  # concurrent callers hand over one call at a time
-        threading.Thread(target=self._serve, name="difftf-branches", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self.idle = True
-            branches = self.calls.get()
-            branches.drain(True)
-            del branches
-
-    def hand_off(self, branches):
-        """Queue branches for the worker if it is waiting for a call."""
-        with self.lock:
-            if not self.idle:
-                return
-            self.idle = False
-        self.calls.put(branches)
+# run_branches' one worker thread, started on first use; a forked child has
+# no worker thread and gets a pool of its own
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
 # Handing jobs to the worker and back costs about 0.1-0.7 ms on a 2-vCPU VM,
@@ -150,33 +58,56 @@ def branch_threads(n_jobs, samples):
             and len(os.sched_getaffinity(0)) > 1)
 
 
+def _run_job(todo, k):
+    # the worker reads job k from a list the call empties before it returns,
+    # so a job cancelled but still queued holds none of the caller's arrays
+    return todo[k]()
+
+
+def _outcome(call):
+    """(call(), None), or (None, the exception call raised)."""
+    try:
+        return call(), None
+    except BaseException as exc:  # raised on the calling thread
+        return None, exc
+
+
 def run_branches(jobs, samples):
     """Results of the independent callables jobs, in list order.
 
-    On two threads when branch_threads(len(jobs), samples): the calling
-    thread runs job 0 and one long-lived worker thread joins in, each
-    claiming the next job in list order when it is free; the first
+    On two threads when branch_threads(len(jobs), samples): jobs 1.. go to
+    the pool's one worker thread and the calling thread runs job 0, then
+    takes back every job the worker has not started (Future.cancel) and
+    runs it too, so it waits only for jobs the worker is running. The first
     exception in list order is raised once every job has finished.
     Otherwise the jobs run one after the other on the calling thread. A job
     must not call run_branches itself.
     """
     if not branch_threads(len(jobs), samples):
         return [job() for job in jobs]
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = _Worker()
-        worker = _worker
-    branches = _Branches(jobs)
-    first = branches.claim(False)
-    worker.hand_off(branches)
-    branches.run(first, False)
-    branches.drain(False)
-    results, errors = branches.wait()
-    for exc in errors:
+    todo = list(jobs)
+    futures = [_pool.submit(_run_job, todo, k) for k in range(1, len(todo))]
+    outcomes = [_outcome(todo[0])]
+    outcomes += [_outcome(todo[k]) if f.cancel() else f for k, f in enumerate(futures, 1)]
+    outcomes = [o if type(o) is tuple else _outcome(o.result) for o in outcomes]
+    todo.clear()
+    for _, exc in outcomes:
         if exc is not None:
             raise exc
-    return results
+    return [result for result, _ in outcomes]
+
+
+def _check_sizes(kind, **sizes):
+    """Raise ValueError naming the first of a block's sizes below 1."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"a {kind} block needs {name} >= 1, got {size}")
+
+
+def _check_width(width, x):
+    """Raise ValueError unless the (batch, T, channels) series x has `width` channels."""
+    if x.shape[2] != width:
+        raise ValueError(f"width mismatch: block expects {width} channels, got {x.shape[2]}")
 
 
 def _in_cell(o, i, fn, *args):
@@ -202,6 +133,7 @@ class MimoTransferFunction:
         self.n_b = int(n_b)
         self.n_a = int(n_a)
         self.n_k = int(n_k)
+        _check_sizes(self.kind, out_channels=self.out_channels, in_channels=self.in_channels)
         shape_b = (self.out_channels, self.in_channels, self.n_b + 1)
         shape_a = (self.out_channels, self.in_channels, self.n_a)
         if b is None:
@@ -233,6 +165,7 @@ class MimoTransferFunction:
     def _forward(self, x):
         """The (o, i) pairs in output-major order, the cells and their outputs
         in that order, and the (batch, T, out_channels) output for x."""
+        _check_width(self.in_channels, x)
         pairs = [(o, i) for o in range(self.out_channels) for i in range(self.in_channels)]
         cells = [self.cell(o, i) for o, i in pairs]
         jobs = [partial(_in_cell, o, i, filter_rows, cell, x[:, :, i])
@@ -258,10 +191,6 @@ class MimoTransferFunction:
         b_node = tape.leaf(self.b)
         a_node = tape.leaf(self.a)
         x = x_node.value
-        if x.shape[2] != self.in_channels:
-            raise ValueError(
-                f"width mismatch: block expects {self.in_channels} channels, got {x.shape[2]}"
-            )
         pairs, cells, cell_y, y = self._forward(x)
 
         def vjp(g):
@@ -352,18 +281,15 @@ def static_nets_forward(w1, b1, w2, b2, x):
     w2 (G, O, H), b2 (G, O). Returns the (batch, T, G*O) output, the input as
     (G, I, N) and the hidden activations as one contiguous (G, H, N) array,
     N = batch*T, so that per-unit broadcasts and reductions run along rows.
-    With branch threads, each net writes its own slice of hid and yT.
+    Each net is one run_branches job writing its own slice of hid and yT.
     """
     G, H, I = w1.shape
+    _check_width(G * I, x)
     xT = _feature_major(x, G, I)
     hid = np.empty((G, H, xT.shape[2]))
     yT = np.empty((G, w2.shape[1], xT.shape[2]))
     arrays = (w1, b1, w2, b2, xT, hid, yT)
-    if branch_threads(G, xT.shape[2]):
-        run_branches([partial(_nets_forward_into, *_nets(arrays, k)) for k in range(G)],
-                     xT.shape[2])
-    else:
-        _nets_forward_into(*arrays)
+    run_branches([partial(_nets_forward_into, *_nets(arrays, k)) for k in range(G)], xT.shape[2])
     return _time_major(yT, x.shape[0], x.shape[1]), xT, hid
 
 
@@ -385,8 +311,8 @@ def static_nets_vjp(w1, w2, xT, hid, g, need_x=True):
     Consumes hid: it is overwritten with damp = 1 - hid^2, so the vjp
     allocates nothing the size of the hidden array. The pre-activation
     adjoint z = damp * W2^T g is never formed either: every reduction of z is
-    written as one of damp against rows of length N. With branch threads,
-    each net writes its own slice of the stacked adjoints.
+    written as one of damp against rows of length N. Each net is one
+    run_branches job writing its own slice of the stacked adjoints.
     """
     G, H, I = w1.shape
     O = w2.shape[1]
@@ -398,11 +324,7 @@ def static_nets_vjp(w1, w2, xT, hid, g, need_x=True):
         x_bar = np.empty((batch, T, G * I))
         x_barT = x_bar.reshape(-1, G * I).T.reshape(G, I, -1)  # a view: written in place
     arrays = (w1, w2, xT, hid, gT, *bars, x_barT)
-    if branch_threads(G, xT.shape[2]):
-        run_branches([partial(_nets_vjp_into, *_nets(arrays, k)) for k in range(G)],
-                     xT.shape[2])
-    else:
-        _nets_vjp_into(*arrays)
+    run_branches([partial(_nets_vjp_into, *_nets(arrays, k)) for k in range(G)], xT.shape[2])
     return (*bars, x_bar)
 
 
@@ -425,11 +347,6 @@ def _nets_vjp_into(w1, w2, xT, hid, gT, w1_bar, b1_bar, w2_bar, b2_bar, x_barT):
 def _apply_static_nets(tape, nets, x_node):
     """Record independent nets as one `mlp` node; the vjp splits the stacked
     adjoints back onto each net's Parameters."""
-    width = sum(net.in_channels for net in nets)
-    if x_node.value.shape[2] != width:
-        raise ValueError(
-            f"width mismatch: static block expects {width} channels, got {x_node.value.shape[2]}"
-        )
     leaves = [tape.leaf(p) for net in nets for _, p in net.parameters()]
     w1, b1, w2, b2 = _stack(nets)
     y, xT, hid = static_nets_forward(w1, b1, w2, b2, x_node.value)
@@ -450,6 +367,8 @@ class Mlp:
         self.in_channels = int(in_width)
         self.hidden = int(hidden)
         self.out_channels = int(out_width)
+        _check_sizes(self.kind, in_width=self.in_channels, hidden=self.hidden,
+                     out_width=self.out_channels)
         if weights is None:
             rng = rng or np.random.default_rng()
             w1 = rng.uniform(-1, 1, (self.hidden, self.in_channels)) / np.sqrt(self.in_channels)
@@ -499,6 +418,7 @@ class ParallelMlp:
 
     def __init__(self, nets):
         self.nets = list(nets)
+        _check_sizes(self.kind, nets=len(self.nets))
         for net in self.nets:
             if net.in_channels != 1 or net.out_channels != 1:
                 raise ValueError("parallel nets must be one-input-one-output")
@@ -538,6 +458,7 @@ class PolyStatic:
 
     def __init__(self, coeffs):
         self.coeffs = [np.asarray(c, dtype=float) for c in coeffs]
+        _check_sizes(self.kind, channels=len(self.coeffs))
         self.in_channels = len(self.coeffs)
         self.out_channels = len(self.coeffs)
 
@@ -545,6 +466,7 @@ class PolyStatic:
         return []
 
     def _eval(self, x):
+        _check_width(self.in_channels, x)
         cols = [
             np.polynomial.polynomial.polyval(x[:, :, k], c)
             for k, c in enumerate(self.coeffs)

@@ -221,9 +221,22 @@ def _bin_edges(cfg, z):
 
 
 def _fit(model_file, u, y):
-    """Fit index and RMSE of the open-loop simulation of (batch, T) input u against y."""
-    y_sim = model_file.simulate(u[:, :, np.newaxis])[:, :, 0]
-    return fit_index(y, y_sim), rmse(y, y_sim)
+    """Fit index and RMSE of the open-loop simulation of (batch, T) input u against y.
+
+    A model with more than one output raises ValueError; a non-finite score
+    raises FloatingPointError naming it.
+    """
+    y_sim = model_file.simulate(u[:, :, np.newaxis])
+    if y_sim.shape[2] != 1:
+        raise ValueError(f"width mismatch: the model gives {y_sim.shape[2]} output "
+                         f"channels, the data has 1")
+    y_sim = y_sim[:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = fit_index(y, y_sim), rmse(y, y_sim)
+    for name, value in zip(("fit index", "rmse"), scores):
+        if not math.isfinite(value):
+            raise FloatingPointError(f"the simulated output gives a non-finite {name} ({value})")
+    return scores
 
 
 def cmd_train(cfg):
@@ -440,7 +453,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingDivergedError, FilterDivergenceError) as exc:
+    except (TrainingDivergedError, FilterDivergenceError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,9 +1,13 @@
+import contextlib
 import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -219,6 +223,19 @@ def grid_pass(grid, x, g):
     return (y.value, *y.vjp(g))
 
 
+@contextlib.contextmanager
+def busy_worker():
+    """Keep the branch pool's worker thread on a job of its own until the block ends."""
+    started, release = threading.Event(), threading.Event()
+    busy = blocks._pool.submit(lambda: (started.set(), release.wait(30)))
+    try:
+        assert started.wait(30)
+        yield
+    finally:
+        release.set()
+        busy.result(30)
+
+
 class TestBranchThreads:
     def test_job_0_runs_here_and_every_job_once_on_at_most_one_worker(self, monkeypatch):
         force_branches(monkeypatch, True)
@@ -237,25 +254,33 @@ class TestBranchThreads:
 
     def test_calling_thread_runs_every_job_when_the_worker_is_busy(self, monkeypatch):
         force_branches(monkeypatch, True)
-        run_branches([lambda: None] * 2, 1)  # starts the worker
-        deadline = time.monotonic() + 30
-        while not blocks._worker.idle and time.monotonic() < deadline:
-            time.sleep(0.001)
-        started, release = threading.Event(), threading.Event()
-
-        class Busy:
-            def drain(self, on_worker):
-                started.set()
-                release.wait(30)
-
-        blocks._worker.hand_off(Busy())
-        try:
-            assert started.wait(30)
+        with busy_worker():
             out = run_branches([threading.get_ident] * 3, 1)
-            assert blocks._worker.calls.empty()  # nothing queued behind the busy worker
-        finally:
-            release.set()
         assert out == [threading.get_ident()] * 3
+
+    def test_a_finished_call_holds_no_array_of_a_job_left_queued(self, monkeypatch):
+        force_branches(monkeypatch, True)
+        held = np.ones(8)
+        freed = weakref.ref(held)
+        with busy_worker():  # job 1's work item stays queued behind the busy job
+            assert run_branches([lambda: 0.0, partial(np.sum, held)], 1) == [0.0, 8.0]
+            del held
+            assert freed() is None
+
+    def test_process_that_ran_a_threaded_grid_exits_promptly(self):
+        code = (
+            "import threading, numpy as np\n"
+            "from difftf import blocks\n"
+            "blocks.branch_threads = lambda n, samples: n > 1\n"
+            "grid = blocks.MimoTransferFunction(2, 1, 2, 1, 1, rng=np.random.default_rng(0))\n"
+            "grid.simulate(np.ones((1, 50, 1)))\n"
+            "assert any(t.name.startswith('difftf-branches') for t in threading.enumerate())\n"
+        )
+        src = os.path.dirname(os.path.dirname(blocks.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_first_exception_in_list_order_is_raised_after_every_job(self, monkeypatch):
         force_branches(monkeypatch, True)
@@ -415,21 +440,47 @@ class TestBranchThreads:
         assert json.loads(json.dumps(events)) == events
 
 
+def two_channel_blocks(rng):
+    """One block of every kind, each two channels wide, by kind."""
+    examples = {
+        "tf": MimoTransferFunction(2, 2, 2, 2, 1, rng=rng),
+        "mlp": Mlp(2, 4, 2, rng=rng),
+        "parallel_mlp": ParallelMlp([Mlp(1, 3, 1, rng=rng) for _ in range(2)]),
+        "poly": PolyStatic([[0.1, 1.0, -0.3], [0.0, 0.5, 0.2]]),
+    }
+    examples["tf"].a.value = rng.normal(0.0, 0.2, examples["tf"].a.value.shape)
+    assert set(examples) == set(_BLOCK_KINDS)
+    return examples
+
+
 class TestSimulate:
     def test_simulate_equals_tape_forward_bit_for_bit_for_every_block_kind(self, rng):
-        examples = {
-            "tf": MimoTransferFunction(2, 2, 2, 2, 1, rng=rng),
-            "mlp": Mlp(2, 4, 2, rng=rng),
-            "parallel_mlp": ParallelMlp([Mlp(1, 3, 1, rng=rng) for _ in range(2)]),
-            "poly": PolyStatic([[0.1, 1.0, -0.3], [0.0, 0.5, 0.2]]),
-        }
-        examples["tf"].a.value = rng.normal(0.0, 0.2, examples["tf"].a.value.shape)
-        assert set(examples) == set(_BLOCK_KINDS)
         x = rng.normal(0.0, 1.0, (3, 40, 2))
-        for kind, block in examples.items():
+        for kind, block in two_channel_blocks(rng).items():
             tape = Tape()
             on_tape = block.apply(tape, tape.constant(x)).value
             assert np.array_equal(block.simulate(x), on_tape), kind
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_simulate_and_apply_reject_a_width_mismatch_for_every_block_kind(self, rng, width):
+        x = np.zeros((1, 5, width))
+        for block in two_channel_blocks(rng).values():
+            with pytest.raises(ValueError, match=f"expects 2 channels, got {width}"):
+                block.simulate(x)
+            tape = Tape()
+            with pytest.raises(ValueError, match=f"expects 2 channels, got {width}"):
+                block.apply(tape, tape.constant(x))
+
+    @pytest.mark.parametrize("make", [
+        lambda: MimoTransferFunction(0, 1, 1, 1, 0),
+        lambda: MimoTransferFunction(1, 0, 1, 1, 0),
+        lambda: Mlp(1, 0, 1),
+        lambda: ParallelMlp([]),
+        lambda: PolyStatic([]),
+    ])
+    def test_blocks_reject_a_size_below_1(self, make):
+        with pytest.raises(ValueError, match=">= 1, got 0"):
+            make()
 
 
 class TestBuilders:

@@ -14,6 +14,20 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def tf_block(**changes):
+    """A unit-gain 1x1 `tf` block of a model file, with the given entries changed."""
+    return {"kind": "tf", "out_channels": 1, "in_channels": 1, "n_b": 0, "n_a": 1,
+            "n_k": 0, "b": [[[1.0]]], "a": [[[0.0]]], **changes}
+
+
+def eval_model(tmp_path, rng, blocks, *extra, T=64):
+    """Exit code of eval of a model file with these blocks on T random samples."""
+    data = tmp_path / "d.csv"
+    write_dataset(data, rng.normal(0, 1, T), y=rng.normal(0, 1, T))
+    write_json(tmp_path / "model.json", {"blocks": blocks})
+    return run(["eval", "--model", tmp_path / "model.json", "--data", data, *extra])
+
+
 class TestGenerate:
     def test_wh_colored_files_and_row_count(self, tmp_path):
         out = tmp_path / "wh"
@@ -363,6 +377,37 @@ class TestEval:
         assert run(["eval", "--model", tmp_path / "model.json", "--data", data]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and named in err
+
+    @pytest.mark.parametrize("block, named", [
+        (tf_block(in_channels=2, b=[[[1.0], [1.0]]], a=[[[0.0], [0.0]]]),
+         "expects 2 channels, got 1"),
+        (tf_block(out_channels=2, b=[[[1.0]], [[1.0]]], a=[[[0.0]], [[0.0]]]),
+         "gives 2 output channels, the data has 1"),
+    ])
+    def test_model_wider_than_the_data_is_data_error_naming_both_widths(
+            self, rng, tmp_path, capsys, block, named):
+        assert eval_model(tmp_path, rng, [block]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and named in err
+
+    @pytest.mark.parametrize("block, named", [
+        ({"kind": "parallel_mlp", "nets": []}, "nets >= 1, got 0"),
+        (tf_block(out_channels=0, b=[], a=[]), "out_channels >= 1, got 0"),
+    ])
+    def test_block_without_channels_is_data_error(self, rng, tmp_path, capsys, block, named):
+        assert eval_model(tmp_path, rng, [block]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and named in err
+
+    def test_non_finite_fit_is_numeric_failure_and_writes_no_report(
+            self, rng, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        # a pole at 3 drives the output near 1e190 by T = 400: finite, but its square is not
+        code = eval_model(tmp_path, rng, [tf_block(a=[[[-3.0]]])], "--report", report, T=400)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "non-finite fit index" in err
+        assert not report.exists()
 
     def test_eval_rejects_quantized_data(self, rng, tmp_path):
         data = tmp_path / "d.csv"
