@@ -75,7 +75,10 @@ def _outcome(call):
 def run_branches(jobs, samples):
     """Results of the independent callables jobs, in list order.
 
-    On two threads when branch_threads(len(jobs), samples): jobs 1.. go to
+    `samples` is the work of each job in samples of a filter cell; a caller
+    whose samples cost more weighs them up (the quantized log-likelihood
+    counts each of its samples as two). On two threads when
+    branch_threads(len(jobs), samples): jobs 1.. go to
     the pool's one worker thread and the calling thread runs job 0, then
     takes back every job the worker has not started (Future.cancel) and
     runs it too, so it waits only for jobs the worker is running. The first

@@ -220,6 +220,24 @@ def _bin_edges(cfg, z):
         raise ValueError(f"{cfg['data']}: {exc}") from None
 
 
+def _check_poles(model):
+    """Raise FloatingPointError naming the first `tf` cell with a pole of
+    radius >= 1: an unstable filter's output grows without bound, and a
+    short series would still give it a (meaningless) finite score."""
+    for k, block in enumerate(model.blocks):
+        if block.kind != "tf":
+            continue
+        for o in range(block.out_channels):
+            for i in range(block.in_channels):
+                den = block.cell(o, i).full_denominator()
+                radius = np.inf
+                if np.all(np.isfinite(den)):
+                    radius = np.max(np.abs(np.roots(den)), initial=0.0)
+                if radius >= 1.0:
+                    raise FloatingPointError(f"block {k} (tf) cell ({o}, {i}) has a pole "
+                                             f"of radius {radius:.6g} >= 1")
+
+
 def _fit(model_file, u, y):
     """Fit index and RMSE of the open-loop simulation of (batch, T) input u against y.
 
@@ -384,6 +402,7 @@ def cmd_eval(cfg):
     u, y, kind = fileio.read_dataset(cfg["data"])
     if kind != "y":
         raise UsageError("eval needs a dataset with a real-valued y column")
+    _check_poles(model_file.model)
     fit, err = _fit(model_file, u, y)
     print(f"fit: {fit:.4f} %")
     print(f"rmse: {err:.6g}")

@@ -172,7 +172,9 @@ class Tape:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.adjoint is None:
-                    parent.adjoint = g if np.isscalar(g) else np.array(g)
+                    # no vjp writes into its incoming adjoint, and the sum
+                    # below builds a new array, so g is not copied
+                    parent.adjoint = g
                 else:
                     parent.adjoint = parent.adjoint + g
         for param, node in self._leaves.values():

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from test_blocks import force_branches
 
 from difftf import gradcheck
 from difftf.cli import main
@@ -291,6 +292,22 @@ class TestTrain:
         assert report["skipped_steps"] == 0 and report["best_iteration"] == 0
         assert report["version"] == 1
 
+    def test_threaded_quantized_run_writes_the_serial_run_files(self, tmp_path, monkeypatch):
+        gen = tmp_path / "gen"
+        assert run(["generate", "--kind", "pwh-quantized", "--T", 4096, "--realizations", 1,
+                    "--rms-levels", "0.5,1.0", "--seed", 3, "--out", gen]) == 0
+        files = []
+        for threaded in (True, False):
+            force_branches(monkeypatch, threaded)
+            out = tmp_path / f"run-{threaded}"
+            assert run(["train", "--data", gen / "train.csv", "--arch", "pwh",
+                        "--loss", "quantized", "--quantizer", gen / "meta.json",
+                        "--iterations", 4, "--lr", "1e-3", "--seed", 0, "--out", out]) == 0
+            losses = [row.split(",")[1] for row in (out / "trace.csv").read_text().splitlines()]
+            files.append(((out / "model.json").read_bytes(),
+                          (out / "events.jsonl").read_bytes(), losses))
+        assert files[0] == files[1]
+
     def test_minibatch_needs_multiple_sequences(self, rng, tmp_path):
         data = tmp_path / "d.csv"
         write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
@@ -359,7 +376,8 @@ class TestEval:
         assert run(["train", "--data", data, "--arch", "wh", "--n-b", 2, "--n-a", 2,
                     "--hidden", 3, "--loss", "mse", "--iterations", 0, "--out", out]) == 0
         doc = read_json(out / "model.json")
-        doc["blocks"][0]["a"][0][0][0] = -30.0  # pole at 30
+        # stable poles pass eval's pole check; a gain of 1e308 overflows the output
+        doc["blocks"][0]["b"][0][0][0] = 1e308
         write_json(out / "model.json", doc)
         assert run(["eval", "--model", out / "model.json", "--data", data]) == 2
         err = capsys.readouterr().err
@@ -402,11 +420,25 @@ class TestEval:
     def test_non_finite_fit_is_numeric_failure_and_writes_no_report(
             self, rng, tmp_path, capsys):
         report = tmp_path / "report.json"
-        # a pole at 3 drives the output near 1e190 by T = 400: finite, but its square is not
-        code = eval_model(tmp_path, rng, [tf_block(a=[[[-3.0]]])], "--report", report, T=400)
+        # an output gain of 1e200 keeps the output finite, but not its square
+        net = {"kind": "mlp", "in_width": 1, "hidden": 1, "out_width": 1,
+               "w1": [[1.0]], "b1": [0.0], "w2": [[1e200]], "b2": [0.0]}
+        code = eval_model(tmp_path, rng, [tf_block(), net], "--report", report)
         assert code == 2
         err = capsys.readouterr().err
         assert "numeric failure" in err and "non-finite fit index" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("a, radius", [([[[-3.0]]], "3"), ([[[0.0, -1.0]]], "1")])
+    def test_unstable_pole_is_numeric_failure_on_a_short_series(
+            self, rng, tmp_path, capsys, a, radius):
+        # 64 samples: a pole at 3 gives a huge but finite output, which was scored
+        report = tmp_path / "report.json"
+        block = tf_block(n_a=len(a[0][0]), a=a)
+        assert eval_model(tmp_path, rng, [block], "--report", report) == 2
+        err = capsys.readouterr().err
+        assert "numeric failure" in err
+        assert f"block 0 (tf) cell (0, 0) has a pole of radius {radius} >= 1" in err
         assert not report.exists()
 
     def test_eval_rejects_quantized_data(self, rng, tmp_path):

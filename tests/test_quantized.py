@@ -1,3 +1,5 @@
+import os
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr
+from test_blocks import force_branches
 
+from difftf import blocks
 from difftf.quantized import (
     _CANCEL,
     _LOG_P_FLOOR,
@@ -13,6 +17,7 @@ from difftf.quantized import (
     LoglikDiagnostics,
     Quantizer,
     _log_p,
+    _loglik_with_grads,
     bin_probabilities,
     log_phi_cdf_diff,
     phi_cdf,
@@ -367,6 +372,69 @@ class TestKernelBranches:
         lo, hi = qz.bin_edges(z)
         node = quantized_loglik_node(tape, tape.constant(y), lo, hi, log_sigma)
         assert node.value == quantized_loglik(y, z, float(np.exp(log_sigma)), qz)
+
+
+def path_inputs(rng, n, path):
+    """(y, lo, hi, sigma) of n samples that take the kernel's `path`: the
+    linear difference, cancelling bins, far tails, or tails past the floor."""
+    qz = TWELVE_BIN
+    if path == "bulk":  # outer bins too, so some edges are infinite
+        z = rng.integers(0, qz.n_bins, n)
+        lo, hi = qz.bin_edges(z)
+        return rng.uniform(-1.2, 1.2, n), lo, hi, 0.2
+    lo, hi = qz.bin_edges(rng.integers(1, qz.n_bins - 1, n))
+    if path == "cancel":  # bins under 1e-3 sigma wide
+        return rng.uniform(-1.0, 1.0, n), lo, hi, 200.0
+    sigma = 1e-3
+    t = {"tail": 25.0, "clamped": 40.0}[path] + rng.uniform(0.0, 2.0, n)
+    return hi + sigma * t, lo, hi, sigma
+
+
+def node_pass(y, lo, hi, sigma):
+    """Value, y and log-sigma gradients and clamped count of one swept node."""
+    y_param = Parameter(y.reshape(1, -1, 1))
+    log_sigma = Parameter(np.log(sigma))
+    diag = LoglikDiagnostics()
+    tape = Tape()
+    node = quantized_loglik_node(tape, tape.leaf(y_param), lo, hi, log_sigma, diag)
+    tape.backward(tape.scale(node, -1.0 / y.size))
+    return node.value, y_param.grad, float(log_sigma.grad), diag.clamped
+
+
+class TestHalvesOnTwoThreads:
+    @pytest.mark.parametrize("path", ["bulk", "cancel", "tail", "clamped"])
+    @pytest.mark.parametrize("n", [1, 2, 4097, 81920])
+    def test_threaded_equals_serial_bit_for_bit(self, rng, monkeypatch, n, path):
+        y, lo, hi, sigma = path_inputs(rng, n, path)
+        exact = _log_p((lo - y) / sigma, (hi - y) / sigma)[2]
+        assert exact.size == (0 if path == "bulk" else n)
+        results = []
+        for threaded in (False, True):
+            force_branches(monkeypatch, threaded)
+            diag = LoglikDiagnostics()
+            value, d_y, d_log_sigma = _loglik_with_grads(y, lo, hi, sigma, diag)
+            results.append((value, d_y, d_log_sigma, diag.clamped, *node_pass(y, lo, hi, sigma)))
+        serial, threaded = results
+        assert (serial[3] > 0) == (path == "clamped")
+        for want, got in zip(serial, threaded):
+            assert np.array_equal(want, got)
+
+    def test_large_input_on_two_cpus_takes_two_threads(self, rng, monkeypatch):
+        taken = []
+
+        def spy(n_jobs, samples, real=blocks.branch_threads):
+            taken.append(real(n_jobs, samples))
+            return taken[-1]
+
+        monkeypatch.setattr(blocks, "branch_threads", spy)
+        big = path_inputs(rng, 81920, "bulk")
+        small = path_inputs(rng, 4097, "bulk")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        _loglik_with_grads(*big)
+        _loglik_with_grads(*small)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _loglik_with_grads(*big)
+        assert taken == [True, False, False]
 
 
 class TestBinEdges:

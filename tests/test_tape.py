@@ -112,6 +112,20 @@ class TestBackward:
 
         assert np.allclose(combined, g_a + g_b, rtol=1e-12, atol=1e-13)
 
+    def test_one_adjoint_array_shared_by_two_parents_stays_intact(self, rng):
+        shared = as3d(rng.normal(0.0, 1.0, 6))
+        before = shared.copy()
+        p1, p2 = Parameter(as3d(rng.normal(0.0, 1.0, 6))), Parameter(as3d(rng.normal(0.0, 1.0, 6)))
+        tape = Tape()
+        x1, x2 = tape.leaf(p1), tape.leaf(p2)
+        extra = tape.total(x1)  # swept after the shared node: x1 gets a second term
+        dot = tape.custom(float(np.sum(shared * (x1.value + x2.value))), (x1, x2),
+                          lambda g: (shared, shared), op="dot")  # g is 1 below
+        tape.backward(tape.add(dot, extra))
+        assert np.array_equal(p1.grad, before + 1.0)
+        assert np.array_equal(p2.grad, before)
+        assert np.array_equal(shared, before)
+
     def test_full_wh_gradients_match_finite_differences(self, rng):
         model = build_wh(n_b=2, n_a=2, hidden=3, rng=rng)
         u = rng.normal(0.0, 1.0, (1, 48, 1))
