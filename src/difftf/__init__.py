@@ -3,9 +3,7 @@
 from .tf_core import (
     FilterDivergenceError,
     TransferFunction,
-    convolve_truncated,
     filter_forward,
-    flip,
     frequency_response,
     impulse_response,
 )
@@ -31,7 +29,6 @@ from .pem import (
 from .quantized import (
     Quantizer,
     log_phi_cdf_diff,
-    phi_cdf,
     quantize,
     quantized_loglik,
     quantized_loglik_node,
@@ -62,17 +59,14 @@ __all__ = [
     "autocorrelation",
     "build_pwh",
     "build_wh",
-    "convolve_truncated",
     "estimated_noise_filter",
     "filter_forward",
     "fit_index",
-    "flip",
     "frequency_response",
     "impulse_response",
     "log_phi_cdf_diff",
     "one_step_predictor",
     "pem_loss",
-    "phi_cdf",
     "prediction_error",
     "quantize",
     "quantized_loglik",

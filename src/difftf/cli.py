@@ -19,7 +19,7 @@ import numpy as np
 
 from . import datagen, fileio, gradcheck
 from .blocks import BlockModel, MimoTransferFunction, ModelFile, Normalization, build_pwh, build_wh
-from .metrics import fit_index, rmse
+from .metrics import fit_index, mse_loss_node, rmse
 from .optim import TrainConfig, TrainingDivergedError, train
 from .pem import PemModel, bode_magnitude_table, invert_monic_noise_filter
 from .quantized import LoglikDiagnostics, Quantizer, quantized_loglik_node
@@ -221,8 +221,8 @@ def _bin_edges(cfg, z):
 
 
 def _check_poles(model):
-    """Raise FloatingPointError naming the first `tf` cell with a pole of
-    radius >= 1: an unstable filter's output grows without bound, and a
+    """(block, (o, i), radius) of the first `tf` cell with a pole of radius
+    >= 1, or None: an unstable filter's output grows without bound, and a
     short series would still give it a (meaningless) finite score."""
     for k, block in enumerate(model.blocks):
         if block.kind != "tf":
@@ -234,8 +234,14 @@ def _check_poles(model):
                 if np.all(np.isfinite(den)):
                     radius = np.max(np.abs(np.roots(den)), initial=0.0)
                 if radius >= 1.0:
-                    raise FloatingPointError(f"block {k} (tf) cell ({o}, {i}) has a pole "
-                                             f"of radius {radius:.6g} >= 1")
+                    return k, (o, i), float(radius)
+    return None
+
+
+def _pole_failure(unstable):
+    k, (o, i), radius = unstable
+    return FloatingPointError(f"block {k} (tf) cell ({o}, {i}) has a pole "
+                              f"of radius {radius:.6g} >= 1")
 
 
 def _fit(model_file, u, y):
@@ -307,10 +313,9 @@ def cmd_train(cfg):
             return tape, pm.pem_loss_node(tape, u_b, y_n[rows])
         out_node = model.apply(tape, tape.constant(u_b))
         if loss_kind == "mse":
-            err = tape.sub(tape.constant(y_n[rows]), out_node)
-            return tape, tape.mean(tape.square(err))
-        ll = quantized_loglik_node(tape, out_node, lo[rows], hi[rows], log_sigma, diagnostics)
-        return tape, tape.scale(ll, -1.0 / (u_b.shape[0] * u_b.shape[1]))
+            return tape, mse_loss_node(tape, out_node, y_n[rows])
+        return tape, quantized_loglik_node(tape, out_node, lo[rows], hi[rows], log_sigma,
+                                           diagnostics)
 
     tc = TrainConfig(
         iterations=cfg["iterations"],
@@ -330,6 +335,13 @@ def cmd_train(cfg):
     wall = time.perf_counter() - t_start
 
     out = fileio.ensure_dir(cfg["out"])
+    # eval refuses a model with an unstable cell, so train does not write one
+    unstable = _check_poles(model)
+    if unstable is not None:
+        k, cell, radius = unstable
+        fileio.write_jsonl(os.path.join(out, "events.jsonl"), result.events + [
+            {"event": "unstable_pole", "block": k, "cell": list(cell), "radius": radius}])
+        raise _pole_failure(unstable)
     noise_filter = pm.h_check() if pm is not None else None
     model_file = ModelFile(
         model,
@@ -360,7 +372,11 @@ def cmd_train(cfg):
     fileio.write_jsonl(os.path.join(out, "events.jsonl"), result.events)
 
     report = {
-        "version": 1,
+        "version": 2,
+        # results vary at round-off with the BLAS thread count
+        "blas_threads": (os.environ.get("OPENBLAS_NUM_THREADS")
+                         or os.environ.get("OMP_NUM_THREADS")),
+        "cpus": len(os.sched_getaffinity(0)),
         "loss": loss_kind,
         "arch": cfg["arch"],
         "seed": cfg["seed"],
@@ -402,7 +418,9 @@ def cmd_eval(cfg):
     u, y, kind = fileio.read_dataset(cfg["data"])
     if kind != "y":
         raise UsageError("eval needs a dataset with a real-valued y column")
-    _check_poles(model_file.model)
+    unstable = _check_poles(model_file.model)
+    if unstable is not None:
+        raise _pole_failure(unstable)
     fit, err = _fit(model_file, u, y)
     print(f"fit: {fit:.4f} %")
     print(f"rmse: {err:.6g}")

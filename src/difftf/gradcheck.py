@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import MimoTransferFunction, build_pwh, build_wh
+from .metrics import mse_loss_node
 from .pem import PemModel
 from .quantized import Quantizer, quantize, quantized_loglik_node
 from .tape import Parameter, Tape
@@ -123,11 +124,7 @@ def filter_op_gradients(tf, u, w):
 
 def mse_loss_on(model, u, y):
     """loss_on for the mean squared error of model's output on u against y."""
-    def loss_on(tape):
-        err = tape.sub(tape.constant(y), model.apply(tape, tape.constant(u)))
-        return tape.mean(tape.square(err))
-
-    return loss_on
+    return lambda tape: mse_loss_node(tape, model.apply(tape, tape.constant(u)), y)
 
 
 def check_filter_gradients(rng, n_cases=20, lengths=(8, 32, 128)):
@@ -181,7 +178,7 @@ def check_pem_gradients(rng, T=64):
 
 
 def check_quantized_gradients(rng, T=256):
-    """FD check of the quantized log-likelihood w.r.t. y_sim and log sigma."""
+    """FD check of the quantized training loss -ll / N w.r.t. y_sim and log sigma."""
     qz = Quantizer.uniform(12, -1.0, 1.0)
     y_sim = Parameter(rng.uniform(-0.9, 0.9, (1, T, 1)), "y_sim")
     z = quantize(y_sim.value + rng.normal(0.0, 0.1, y_sim.value.shape), qz)

@@ -1,4 +1,5 @@
-"""Simulation-quality metrics: fit index, RMSE, residual autocorrelation."""
+"""Simulation-quality metrics (fit index, RMSE, residual autocorrelation) and
+the mean-squared-error training loss."""
 
 from __future__ import annotations
 
@@ -28,6 +29,22 @@ def rmse(y, y_sim):
     if y.shape != y_sim.shape:
         raise ValueError("y and y_sim must have the same length")
     return float(np.sqrt(np.mean((y - y_sim) ** 2)))
+
+
+def mse_loss_node(tape, out_node, y):
+    """Tape node for mean((y - M(u))^2) over the model output node M(u).
+
+    Its vjp sends -2 err (g / N) to M(u): the arithmetic of the composed sub,
+    square and mean nodes, in the same order.
+    """
+    err = y - out_node.value
+
+    def vjp(g):
+        bar = np.multiply(err, 2.0, out=err)  # err is consumed: a tape is swept once
+        bar *= g / bar.size
+        return (-bar,)
+
+    return tape.custom(float(np.mean(err * err)), (out_node,), vjp, op="mse_loss")
 
 
 def autocorrelation(x, max_lag):

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from .blocks import MimoTransferFunction
-from .tf_core import TransferFunction, frequency_response, impulse_response
+from .tf_core import TransferFunction, frequency_response
 
 
 class PemModel:
@@ -44,9 +44,8 @@ class PemModel:
 
     def _error_nodes(self, tape, u, y):
         """Record d = y - M(u) for (batch, T, 1) arrays, and the noise grid's output Hc(q) d."""
-        u_node = tape.constant(u)
-        y_node = tape.constant(y)
-        d = tape.sub(y_node, self.model.apply(tape, u_node))
+        out = self.model.apply(tape, tape.constant(u))
+        d = tape.custom(y - out.value, (out,), lambda g: (-g,), op="residual")
         return d, self.noise.apply(tape, d)
 
     def pem_loss_node(self, tape, u, y):
@@ -117,13 +116,6 @@ def invert_monic_noise_filter(h_check):
 def estimated_noise_filter(model):
     """The fitted H(q) implied by the model's inverse-noise parametrization."""
     return invert_monic_noise_filter(model.h_check())
-
-
-def inverse_noise_impulse_response(model, T):
-    """Impulse response of H^-1 = 1 + Hc; leads with exactly 1."""
-    g = impulse_response(model.h_check(), T)
-    g[0] += 1.0
-    return g
 
 
 def magnitude_response_db(params, freqs):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import erf, erfc, log_ndtr, ndtr
+from scipy.special import erf, log_ndtr, ndtr
 
 from .blocks import run_branches
 
@@ -98,13 +98,6 @@ def quantize(x, qz):
     x = np.asarray(x, dtype=float)
     idx = np.searchsorted(qz.thresholds, x, side="left") - 1
     return np.clip(idx, 0, qz.n_bins - 1).astype(np.int64)
-
-
-def phi_cdf(x):
-    """Standard normal CDF through the complementary error function."""
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(-x / np.sqrt(2.0))
-    return float(out) if out.ndim == 0 else out
 
 
 def _log1mexp(delta):
@@ -197,13 +190,6 @@ def quantized_loglik(y_sim, z, sigma, qz, diagnostics=None):
     return _loglik_with_grads(y, lo, hi, float(sigma), diagnostics)[0]
 
 
-def quantized_loglik_terms(y_sim, z, sigma, qz):
-    """Per-sample log-likelihood terms (no clamping), for diagnostics/tests."""
-    y = np.asarray(y_sim, dtype=float).ravel()
-    lo, hi = qz.bin_edges(np.asarray(z).ravel())
-    return log_phi_cdf_diff((lo - y) / sigma, (hi - y) / sigma)
-
-
 def _loglik_with_grads(y, lo, hi, sigma, diagnostics=None):
     """Total log-likelihood, its gradient in y and its summed gradient in log sigma.
 
@@ -262,13 +248,14 @@ def _loglik_terms_into(sigma, y, lo, hi, l, u, rl, ru, log_p, d_y):
 
 
 def quantized_loglik_node(tape, y_sim_node, lo, hi, log_sigma, diagnostics=None):
-    """Tape node for the total log-likelihood of quantized observations.
+    """Tape node for the training loss -ll / N, ll the total log-likelihood of
+    the N quantized observations.
 
     lo and hi are the observed bins' edges, `Quantizer.bin_edges(z)`, shaped
-    like the simulated output. Gradients flow to the simulated output and to
-    log-sigma.
+    like the simulated output; log_sigma is a Parameter. Gradients flow to
+    the simulated output and to log-sigma.
     """
-    sigma_node = tape._wrap_raw(log_sigma)
+    sigma_node = tape.leaf(log_sigma)
     sigma = float(np.exp(sigma_node.value))
     y = y_sim_node.value
     if lo.size != y.size or hi.size != y.size:
@@ -276,23 +263,14 @@ def quantized_loglik_node(tape, y_sim_node, lo, hi, log_sigma, diagnostics=None)
     value, d_y, d_log_sigma = _loglik_with_grads(
         y.ravel(), lo.ravel(), hi.ravel(), sigma, diagnostics
     )
+    c = -1.0 / y.size
 
     def vjp(g):
+        gc = c * g
         y_bar = None
         if y_sim_node.requires_grad:
             # the node owns d_y, and a tape is swept once
-            y_bar = np.multiply(d_y, g, out=d_y).reshape(y.shape)
-        s_bar = g * d_log_sigma if sigma_node.requires_grad else None
-        return (y_bar, s_bar)
+            y_bar = np.multiply(d_y, gc, out=d_y).reshape(y.shape)
+        return (y_bar, gc * d_log_sigma)
 
-    return tape.custom(value, (y_sim_node, sigma_node), vjp, op="quantized_loglik")
-
-
-def bin_probabilities(y_sim, sigma, qz):
-    """Probability of every bin for each simulated output value (rows sum to 1)."""
-    y = np.asarray(y_sim, dtype=float).ravel()
-    out = np.empty((y.size, qz.n_bins))
-    for m in range(qz.n_bins):
-        z = np.full(y.shape, m, dtype=np.int64)
-        out[:, m] = np.exp(quantized_loglik_terms(y, z, sigma, qz))
-    return out
+    return tape.custom(c * value, (y_sim_node, sigma_node), vjp, op="quantized_loglik")

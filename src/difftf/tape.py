@@ -1,11 +1,14 @@
-"""Minimal reverse-mode tape for composing arithmetic and custom nodes.
+"""Minimal reverse-mode tape of constant, leaf and custom nodes.
 
-Node values are either Python floats (scalar nodes) or float arrays of shape
-(batch, T, channels). The tape is rebuilt on every forward evaluation
-(define-by-run); creation order is the forward topological order, and the
-backward sweep visits nodes in exact reverse creation order with parents
-processed in registration order, so repeated runs are deterministic
-bit-for-bit.
+The tape holds no arithmetic of its own: every operation (a filter grid, a
+static net, a loss) is one custom node that brings its forward value and its
+vjp. A vjp never writes into the adjoint it is given, so one array may be
+sent to several parents. Constants are Python floats or (batch, T, channels)
+arrays; a leaf holds its Parameter's value. The tape is rebuilt on every
+forward evaluation (define-by-run); creation order is the forward
+topological order, and the backward sweep visits nodes in exact reverse
+creation order with parents processed in registration order, so repeated
+runs are deterministic bit-for-bit.
 """
 
 from __future__ import annotations
@@ -87,67 +90,13 @@ class Tape:
         self._leaves[key] = (param, node)
         return node
 
-    def _wrap(self, x):
-        if isinstance(x, Node):
-            return x
-        if isinstance(x, Parameter):
-            return self.leaf(x)
-        return self.constant(x)
-
-    def _wrap_raw(self, x):
-        """Wrap coefficient-like values without the time-series shape promotion."""
-        if isinstance(x, Node):
-            return x
-        if isinstance(x, Parameter):
-            return self.leaf(x)
-        return self._record(Node(np.asarray(x, dtype=float), op="const"))
-
-    # ---- elementwise arithmetic --------------------------------------
-
-    def add(self, x, y):
-        x, y = self._wrap(x), self._wrap(y)
-        return self.custom(x.value + y.value, (x, y), lambda g: (g, g), op="add")
-
-    def sub(self, x, y):
-        x, y = self._wrap(x), self._wrap(y)
-        return self.custom(x.value - y.value, (x, y), lambda g: (g, -g), op="sub")
-
-    def scale(self, x, c):
-        x = self._wrap(x)
-        c = float(c)
-        return self.custom(c * x.value, (x,), lambda g: (c * g,), op="scale")
-
-    def square(self, x):
-        x = self._wrap(x)
-        xv = x.value
-        return self.custom(xv * xv, (x,), lambda g: (2.0 * xv * g,), op="square")
-
-    def mean(self, x):
-        x = self._wrap(x)
-        xv = np.asarray(x.value, dtype=float)
-        return self.custom(float(np.mean(x.value)), (x,),
-                           lambda g: (np.full_like(xv, g / xv.size),), op="mean")
-
-    def total(self, x):
-        x = self._wrap(x)
-        xv = np.asarray(x.value, dtype=float)
-        return self.custom(float(np.sum(x.value)), (x,),
-                           lambda g: (np.full_like(xv, g),), op="sum")
-
     # ---- custom operations ---------------------------------------------
 
     def custom(self, value, parents, vjp, op="custom"):
-        """Record an externally computed operation with its adjoint rule."""
-        parents = tuple(self._wrap(p) for p in parents)
-        return self._record(
-            Node(
-                value,
-                parents,
-                op=op,
-                requires_grad=any(p.requires_grad for p in parents),
-                vjp=vjp,
-            )
-        )
+        """Record an operation on parent Nodes with its adjoint rule."""
+        parents = tuple(parents)
+        grad = any(p.requires_grad for p in parents)
+        return self._record(Node(value, parents, op=op, requires_grad=grad, vjp=vjp))
 
     # ---- reverse sweep --------------------------------------------------
 

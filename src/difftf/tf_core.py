@@ -1,4 +1,4 @@
-"""Discrete-time rational filters: coefficients, zero-state filtering, oracles.
+"""Discrete-time rational filters: coefficients, zero-state filtering.
 
 A filter is y(t) = B(q)/A(q) u(t-n_k) with A(q) = 1 + a_1 q^-1 + ... + a_na q^-na
 (the leading 1 is implicit and never stored) and B(q) = b_0 + b_1 q^-1 + ...
@@ -117,36 +117,6 @@ def filter_forward(params, u):
     return filter_rows(params, _as_rows(u)).reshape(np.shape(u))
 
 
-def filter_forward_reference(params, u, *, count_mults=False):
-    """Literal difference-equation evaluation, kept as a slow independent oracle.
-
-    Uses exactly T * (n_b + n_a + 1) scalar multiplications per batch row; pass
-    count_mults=True to get (y, mult_count) for cost assertions.
-    """
-    rows = _as_rows(u)
-    b, a, n_k = params.b, params.a, params.n_k
-    n_rows, T = rows.shape
-    out = np.zeros_like(rows)
-    mults = 0
-    for n in range(n_rows):
-        un = rows[n]
-        yn = out[n]
-        for t in range(T):
-            acc = 0.0
-            for j in range(b.size):
-                k = t - j - n_k
-                acc += b[j] * (un[k] if k >= 0 else 0.0)
-                mults += 1
-            for j in range(1, a.size + 1):
-                k = t - j
-                acc -= a[j - 1] * (yn[k] if k >= 0 else 0.0)
-                mults += 1
-            yn[t] = acc
-    _raise_if_nonfinite(out)
-    y = out.reshape(np.shape(u))
-    return (y, mults) if count_mults else y
-
-
 def impulse_response(params, T):
     """First T samples of the impulse response g of the filter."""
     T = int(T)
@@ -155,31 +125,6 @@ def impulse_response(params, T):
     delta = np.zeros(T)
     delta[0] = 1.0
     return filter_forward(params, delta)
-
-
-def convolve_truncated(g, u):
-    """Truncated convolution y_i = sum_{j=0}^{i} g_j u_{i-j}, direct O(T^2) form.
-
-    Verification oracle for filter_forward via the impulse response; g and u
-    must have equal length.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 1:
-        raise ValueError("g must be a 1-D impulse-response vector")
-    rows = _as_rows(u)
-    T = rows.shape[1]
-    if g.size != T:
-        raise ValueError(f"length mismatch: len(g)={g.size}, len(u)={T}")
-    out = np.empty_like(rows)
-    for i in range(T):
-        lo = max(0, i + 1 - T)
-        out[:, i] = rows[:, i - lo :: -1][:, : i - lo + 1] @ g[lo : i + 1]
-    return out.reshape(np.shape(u))
-
-
-def flip(x):
-    """Time reversal along the last axis: (flip(x))_t = x_{T-t-1}."""
-    return _as_rows(x)[:, ::-1].reshape(np.shape(x)).copy()
 
 
 def frequency_response(params, freqs):

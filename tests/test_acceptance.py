@@ -11,6 +11,12 @@ import time
 
 import numpy as np
 import pytest
+from oracles import (
+    bin_probabilities,
+    convolve_truncated,
+    inverse_noise_impulse_response,
+    quantized_loglik_terms,
+)
 
 import difftf
 from difftf.blocks import ModelFile, build_wh
@@ -18,21 +24,19 @@ from difftf.cli import main as cli_main
 from difftf.datagen import generate_pwh_quantized
 from difftf.fileio import read_dataset, read_json
 from difftf.gradcheck import central_difference, filter_op_gradients, relative_errors
-from difftf.metrics import autocorrelation, fit_index
+from difftf.metrics import autocorrelation, fit_index, mse_loss_node
 from difftf.optim import TrainConfig, train
 from difftf.pem import (
     PemModel,
     estimated_noise_filter,
-    inverse_noise_impulse_response,
     magnitude_response_db,
     one_step_predictor,
     prediction_error,
 )
-from difftf.quantized import Quantizer, bin_probabilities, quantize, quantized_loglik_terms
+from difftf.quantized import Quantizer, quantize
 from difftf.tape import Tape
 from difftf.tf_core import (
     TransferFunction,
-    convolve_truncated,
     filter_forward,
     impulse_response,
     random_stable_tf,
@@ -423,9 +427,7 @@ def test_criterion_8_least_squares_sanity(rng):
 
     def build_loss():
         tape = Tape()
-        out = model.apply(tape, tape.constant(u3))
-        err = tape.sub(tape.constant(y3), out)
-        return tape, tape.mean(tape.square(err))
+        return tape, mse_loss_node(tape, model.apply(tape, tape.constant(u3)), y3)
 
     train(params, build_loss,
           TrainConfig(iterations=12000, lr=1e-2, plateau_patience=2500,

@@ -84,9 +84,60 @@ class TestTrain:
         assert code == 0
         report = read_json(out / "report.json")
         assert report["iterations"] == 0
-        assert report["version"] == 1
+        assert report["version"] == 2
         assert (out / "model.json").exists()
         assert read_csv(out / "trace.csv").keys() == {"iteration", "loss", "wall_time_s"}
+
+    @pytest.mark.parametrize("env, blas_threads", [
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"}, "3"),
+        ({"OMP_NUM_THREADS": "2"}, "2"),
+        ({}, None),
+    ])
+    def test_report_keys_and_the_threads_it_ran_with(self, rng, tmp_path, monkeypatch,
+                                                     env, blas_threads):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        data = tmp_path / "d.csv"
+        write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
+        out = tmp_path / "run"
+        assert run(["train", "--data", data, "--arch", "fir", "--fir-taps", 4, "--loss", "mse",
+                    "--iterations", 2, "--test-data", data, "--out", out]) == 0
+        report = read_json(out / "report.json")
+        assert sorted(report) == sorted([
+            "version", "blas_threads", "cpus", "loss", "arch", "seed", "lr", "lr_final",
+            "iterations", "stopped_on_plateau", "final_loss", "best_loss",
+            "divergence_restores", "skipped_steps", "best_iteration", "clamped_total",
+            "wall_time_s", "train_fit_percent", "train_rmse", "test_fit_percent", "test_rmse",
+        ])
+        assert report["version"] == 2
+        assert report["blas_threads"] == blas_threads and report["cpus"] == 3
+
+    def test_unstable_trained_model_exits_2_without_a_model_file(self, rng, tmp_path,
+                                                                 monkeypatch, capsys):
+        from difftf import cli
+
+        real_train = cli.train
+
+        def ends_unstable(params, build_loss, config):
+            result = real_train(params, build_loss, config)
+            params[1].value[...] = -3.0  # block 0's denominator 1 - 3 q^-1: a pole at 3
+            return result
+
+        monkeypatch.setattr(cli, "train", ends_unstable)
+        data = tmp_path / "d.csv"
+        write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
+        out = tmp_path / "run"
+        code = run(["train", "--data", data, "--arch", "wh", "--n-b", 1, "--n-a", 1,
+                    "--hidden", 2, "--loss", "mse", "--iterations", 2, "--out", out])
+        assert code == 2
+        assert "block 0 (tf) cell (0, 0) has a pole of radius 3 >= 1" in capsys.readouterr().err
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert events[-1] == {"event": "unstable_pole", "block": 0, "cell": [0, 0],
+                              "radius": pytest.approx(3.0)}
+        assert not (out / "model.json").exists()
 
     def test_clean_run_writes_empty_events_file(self, rng, tmp_path):
         data = tmp_path / "d.csv"
@@ -290,7 +341,7 @@ class TestTrain:
         report = read_json(out / "report.json")
         assert (report["clamped_total"] > 0) == clamped
         assert report["skipped_steps"] == 0 and report["best_iteration"] == 0
-        assert report["version"] == 1
+        assert report["version"] == 2
 
     def test_threaded_quantized_run_writes_the_serial_run_files(self, tmp_path, monkeypatch):
         gen = tmp_path / "gen"

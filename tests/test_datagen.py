@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import bin_probabilities
 
 from difftf.blocks import ModelFile
 from difftf.datagen import (
@@ -14,7 +15,7 @@ from difftf.datagen import (
     synthetic_pwh_truth,
     synthetic_wh_truth,
 )
-from difftf.quantized import bin_probabilities, quantize
+from difftf.quantized import quantize
 from difftf.tf_core import frequency_response, impulse_response
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+from oracles import square, total
 
 from difftf.gradcheck import GRAD_TOL, parameter_errors, run_all
 from difftf.tape import Parameter
@@ -7,7 +8,7 @@ from difftf.tape import Parameter
 def squared_norm_loss(p, vjp_gain):
     """loss_on for sum(p^2), recorded with a vjp scaled by vjp_gain."""
     def loss_on(tape):
-        s = tape.total(tape.square(tape.leaf(p)))
+        s = total(tape, square(tape, tape.leaf(p)))
         return tape.custom(s.value, (s,), lambda g: (vjp_gain * g,), op="scaled")
 
     return loss_on

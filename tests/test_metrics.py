@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from oracles import mean, square, sub
 
-from difftf.metrics import autocorrelation, fit_index, rmse
+from difftf.blocks import build_pwh, build_wh
+from difftf.metrics import autocorrelation, fit_index, mse_loss_node, rmse
+from difftf.tape import Tape
 
 
 class TestFitIndex:
@@ -49,3 +52,29 @@ class TestAutocorrelation:
 
     def test_zero_series(self):
         assert np.array_equal(autocorrelation(np.zeros(10), 3), np.zeros(3))
+
+
+class TestMseLossNode:
+    @pytest.mark.parametrize("build", [build_wh, build_pwh])
+    def test_equals_composed_sub_square_mean_bit_for_bit(self, rng, build):
+        model = build(n_b=3, n_a=3, hidden=4, rng=rng)
+        u = rng.normal(0.0, 1.0, (3, 50, 1))
+        y = rng.normal(0.0, 1.0, (3, 50, 1))
+        params = [p for _, p in model.parameters()]
+
+        def composed(tape, out):
+            return mean(tape, square(tape, sub(tape, tape.constant(y), out)))
+
+        def value_and_grads(loss_on):
+            tape = Tape()
+            loss = loss_on(tape, model.apply(tape, tape.constant(u)))
+            tape.backward(loss)
+            return loss.value, [p.grad.copy() for p in params], [n.op for n in tape._nodes]
+
+        fused, fused_grads, ops = value_and_grads(lambda tape, out: mse_loss_node(tape, out, y))
+        ref, ref_grads, _ = value_and_grads(composed)
+        assert fused == ref
+        for got, want in zip(fused_grads, ref_grads):
+            assert np.array_equal(got, want)
+        assert all(np.any(g != 0.0) for g in fused_grads)
+        assert ops.count("const") == 1 and ops[-1] == "mse_loss"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import add, mean, scale, square, sub, total
 
 from difftf.blocks import BlockModel, MimoTransferFunction
 from difftf.optim import Adam, TrainConfig, TrainingDivergedError, train
@@ -134,11 +135,13 @@ class TestAdam:
 
 
 def quadratic_builder(p, target):
+    target = np.asarray(target, dtype=float)
+
     def build_loss():
         tape = Tape()
         leaf = tape.leaf(p)
-        diff = tape.sub(leaf, tape._wrap_raw(np.asarray(target)))
-        return tape, tape.total(tape.square(diff))
+        diff = tape.custom(leaf.value - target, (leaf,), lambda g: (g,), op="sub")
+        return tape, total(tape, square(tape, diff))
 
     return build_loss
 
@@ -178,8 +181,8 @@ class TestTrain:
         def build_loss():
             tape = Tape()
             out = model.apply(tape, tape.constant(u3))
-            err = tape.sub(tape.constant(y3), out)
-            return tape, tape.mean(tape.square(err))
+            err = sub(tape, tape.constant(y3), out)
+            return tape, mean(tape, square(tape, err))
 
         result = train(
             params,
@@ -206,8 +209,8 @@ class TestTrain:
             def build_loss():
                 tape = Tape()
                 out = model.apply(tape, tape.constant(u3))
-                err = tape.sub(tape.constant(y3), out)
-                return tape, tape.mean(tape.square(err))
+                err = sub(tape, tape.constant(y3), out)
+                return tape, mean(tape, square(tape, err))
 
             return train(params, build_loss, TrainConfig(iterations=50, lr=1e-2))
 
@@ -243,7 +246,8 @@ class TestTrain:
 
         def build_loss():
             tape = Tape()
-            return tape, tape.add(tape.total(tape.square(tape.leaf(p))), next(losses, 0.0))
+            loss = total(tape, square(tape, tape.leaf(p)))
+            return tape, add(tape, loss, tape.constant(next(losses, 0.0)))
 
         result = train([p], build_loss, TrainConfig(iterations=3, lr=0.2))
         assert result.events == [{"event": "divergence_restore", "iteration": 0, "pass": "loss",
@@ -348,7 +352,8 @@ class TestTrain:
         def build_loss():
             p.value += 1.0  # iterate k holds k + 1; its gradient is zero
             tape = Tape()
-            return tape, tape.add(tape.total(tape.scale(tape.leaf(p), 0.0)), next(losses))
+            flat = total(tape, scale(tape, tape.leaf(p), 0.0))
+            return tape, add(tape, flat, tape.constant(next(losses)))
 
         result = train([p], build_loss, TrainConfig(iterations=6, plateau_patience=3))
         best = int(np.argmin(result.loss_trace))

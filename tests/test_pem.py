@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import add, inverse_noise_impulse_response, mean, square, sub
 
 from difftf.blocks import BlockModel, MimoTransferFunction, build_wh
 from difftf.gradcheck import central_difference, relative_errors
@@ -7,7 +8,6 @@ from difftf.pem import (
     PemModel,
     bode_magnitude_table,
     estimated_noise_filter,
-    inverse_noise_impulse_response,
     invert_monic_noise_filter,
     magnitude_response_db,
     one_step_predictor,
@@ -157,9 +157,10 @@ class TestPemLoss:
         ops = [node.op for node in tape._nodes]
         assert ops.count("mimo_filter") == 3
         assert "filter" not in ops
-        # one loss op after d = y - M(u) and the noise grid
-        assert ops[-3:] == ["param", "mimo_filter", "pem_loss"]
-        assert not {"add", "square", "mean"} & set(ops)
+        # d = y - M(u) as one residual node, then the noise grid and one loss op
+        assert ops[-5:] == ["residual", "param", "param", "mimo_filter", "pem_loss"]
+        assert ops.count("const") == 1  # u only: y enters through the residual
+        assert not {"add", "sub", "square", "mean"} & set(ops)
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("T", [1, 64])
@@ -172,9 +173,9 @@ class TestPemLoss:
         params = [p for _, p in pm.parameters()]
 
         def composed(tape):
-            d = tape.sub(tape.constant(y), pm.model.apply(tape, tape.constant(u)))
-            eps = tape.add(d, pm.noise.apply(tape, d))
-            return tape.mean(tape.square(eps))
+            d = sub(tape, tape.constant(y), pm.model.apply(tape, tape.constant(u)))
+            eps = add(tape, d, pm.noise.apply(tape, d))
+            return mean(tape, square(tape, eps))
 
         def value_and_grads(loss_on):
             tape = Tape()

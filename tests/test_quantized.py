@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr
+from oracles import bin_probabilities, phi_cdf, quantized_loglik_terms, scale
 from test_blocks import force_branches
 
 from difftf import blocks
@@ -18,13 +19,10 @@ from difftf.quantized import (
     Quantizer,
     _log_p,
     _loglik_with_grads,
-    bin_probabilities,
     log_phi_cdf_diff,
-    phi_cdf,
     quantize,
     quantized_loglik,
     quantized_loglik_node,
-    quantized_loglik_terms,
 )
 from difftf.tape import Parameter, Tape
 
@@ -335,6 +333,7 @@ class TestKernelBranches:
         lo = np.array([[0.25 + sigma * l]])
         hi = np.array([[0.25 + sigma * u]])
         tape = Tape()
+        # the node is the training loss -ll / N, here with N = 1
         tape.backward(quantized_loglik_node(tape, tape.leaf(y_sim), lo, hi, log_sigma))
         # the standardized bounds the kernel sees
         l_k, u_k = (lo[0, 0] - 0.25) / sigma, (hi[0, 0] - 0.25) / sigma
@@ -342,11 +341,11 @@ class TestKernelBranches:
         # a difference whose terms agree to 1e-4 keeps too few digits in
         # double precision for a 1e-10 comparison; those points are skipped
         if abs(pdfs[0] - pdfs[1]) >= 1e-4 * max(pdfs):
-            assert y_sim.grad[0, 0, 0] == pytest.approx(d_y / sigma, rel=1e-10)
+            assert y_sim.grad[0, 0, 0] == pytest.approx(-d_y / sigma, rel=1e-10)
         elif max(pdfs) == 0:
             assert y_sim.grad[0, 0, 0] == 0.0
         if abs(xpdfs[0] - xpdfs[1]) >= 1e-4 * max(abs(xpdfs[0]), abs(xpdfs[1])):
-            assert float(log_sigma.grad) == pytest.approx(d_log_sigma, rel=1e-10)
+            assert float(log_sigma.grad) == pytest.approx(-d_log_sigma, rel=1e-10)
         elif max(abs(xpdfs[0]), abs(xpdfs[1])) == 0:
             assert float(log_sigma.grad) == 0.0
 
@@ -367,11 +366,12 @@ class TestKernelBranches:
         qz = TWELVE_BIN
         y = rng.uniform(-1.2, 1.2, (3, 50, 1))
         z = quantize(y + rng.normal(0.0, 0.2, y.shape), qz)
-        log_sigma = np.log(0.2)
+        log_sigma = Parameter(np.log(0.2))
         tape = Tape()
         lo, hi = qz.bin_edges(z)
         node = quantized_loglik_node(tape, tape.constant(y), lo, hi, log_sigma)
-        assert node.value == quantized_loglik(y, z, float(np.exp(log_sigma)), qz)
+        ll = quantized_loglik(y, z, float(np.exp(log_sigma.value)), qz)
+        assert node.value == (-1.0 / y.size) * ll
 
 
 def path_inputs(rng, n, path):
@@ -397,8 +397,47 @@ def node_pass(y, lo, hi, sigma):
     diag = LoglikDiagnostics()
     tape = Tape()
     node = quantized_loglik_node(tape, tape.leaf(y_param), lo, hi, log_sigma, diag)
-    tape.backward(tape.scale(node, -1.0 / y.size))
+    tape.backward(node)
     return node.value, y_param.grad, float(log_sigma.grad), diag.clamped
+
+
+class TestFusedTrainingLoss:
+    @pytest.mark.parametrize("rows", [slice(None), np.array([1, 3])])
+    def test_equals_loglik_node_and_scale_bit_for_bit(self, rng, rows):
+        """The node against the likelihood node and the scale by -1/N it
+        replaced, on the full batch and on a minibatch of rows."""
+        model = blocks.build_pwh(n_b=3, n_a=3, hidden=4, rng=rng)
+        u = rng.normal(0.0, 1.0, (4, 200, 1))
+        z = quantize(model.simulate(u)[:, :, 0] + rng.normal(0.0, 0.1, (4, 200)), TWELVE_BIN)
+        lo, hi = TWELVE_BIN.bin_edges(z)
+        log_sigma = Parameter(np.log(0.1), "log_sigma")
+        params = [p for _, p in model.parameters()] + [log_sigma]
+
+        def composed(tape, out):
+            sigma_node = tape.leaf(log_sigma)
+            y = out.value
+            value, d_y, d_log_sigma = _loglik_with_grads(
+                y.ravel(), lo[rows].ravel(), hi[rows].ravel(), float(np.exp(sigma_node.value)))
+
+            def vjp(g):
+                return (np.multiply(d_y, g, out=d_y).reshape(y.shape), g * d_log_sigma)
+
+            ll = tape.custom(value, (out, sigma_node), vjp, op="quantized_loglik")
+            return scale(tape, ll, -1.0 / (y.shape[0] * y.shape[1]))
+
+        def value_and_grads(loss_on):
+            tape = Tape()
+            loss = loss_on(tape, model.apply(tape, tape.constant(u[rows])))
+            tape.backward(loss)
+            return loss.value, [p.grad.copy() for p in params]
+
+        fused, fused_grads = value_and_grads(
+            lambda tape, out: quantized_loglik_node(tape, out, lo[rows], hi[rows], log_sigma))
+        ref, ref_grads = value_and_grads(composed)
+        assert fused == ref
+        for got, want in zip(fused_grads, ref_grads):
+            assert np.array_equal(got, want)
+        assert all(np.any(g != 0.0) for g in fused_grads)
 
 
 class TestHalvesOnTwoThreads:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import add, mean, square, sub, total
 
 from difftf.gradcheck import mse_loss_on, parameter_errors
 from difftf.blocks import MimoTransferFunction, build_wh
@@ -20,7 +21,7 @@ class TestForward:
         u = rng.normal(0.0, 1.0, 30)
         tape = Tape()
         y = MimoTransferFunction.siso(tf).apply(tape, tape.constant(as3d(u)))
-        loss = tape.mean(tape.square(y))
+        loss = mean(tape, square(tape, y))
         direct = float(np.mean(filter_forward(tf, u) ** 2))
         assert loss.value == pytest.approx(direct, rel=1e-14)
 
@@ -28,7 +29,7 @@ class TestForward:
         u = rng.normal(0.0, 1.0, 25)
         tape = Tape()
         y = MimoTransferFunction.siso(IDENTITY).apply(tape, tape.constant(as3d(u)))
-        loss = tape.mean(tape.square(y))
+        loss = mean(tape, square(tape, y))
         assert loss.value == pytest.approx(float(np.mean(u**2)), rel=1e-15)
 
     def test_wh_graph_equals_manual_sequential_application(self, rng):
@@ -55,14 +56,14 @@ class TestForward:
     def test_second_backward_on_one_tape_rejected(self, rng):
         model = build_wh(n_b=2, n_a=2, hidden=3, rng=rng)
         tape = Tape()
-        loss = tape.mean(tape.square(model.apply(tape, tape.constant(np.ones((1, 8, 1))))))
+        loss = mean(tape, square(tape, model.apply(tape, tape.constant(np.ones((1, 8, 1))))))
         tape.backward(loss)
         with pytest.raises(ValueError, match="already ran"):
             tape.backward(loss)
 
     def test_backward_requires_node_from_this_tape(self):
         tape1, tape2 = Tape(), Tape()
-        loss = tape1.mean(tape1.constant(np.ones(3)[np.newaxis, :, np.newaxis]))
+        loss = mean(tape1, tape1.constant(np.ones(3)[np.newaxis, :, np.newaxis]))
         with pytest.raises(ValueError, match="recorded on this tape"):
             tape2.backward(loss)
 
@@ -73,7 +74,7 @@ class TestBackward:
         tape = Tape()
         u_param = Parameter(as3d(u))
         y = MimoTransferFunction.siso(IDENTITY).apply(tape, tape.leaf(u_param))
-        loss = tape.mean(tape.square(y))
+        loss = mean(tape, square(tape, y))
         tape.backward(loss)
         assert np.allclose(u_param.grad[0, :, 0], 2.0 * u / 20, rtol=1e-14)
 
@@ -84,11 +85,12 @@ class TestBackward:
         tape = Tape()
         u_param = Parameter(as3d(u))
         u_node = tape.leaf(u_param)
-        y = tape.add(
+        y = add(
+            tape,
             MimoTransferFunction.siso(tf1).apply(tape, u_node),
             MimoTransferFunction.siso(tf2).apply(tape, u_node),
         )
-        loss = tape.total(tape.square(y))
+        loss = total(tape, square(tape, y))
         tape.backward(loss)
         combined = u_param.grad
 
@@ -98,16 +100,16 @@ class TestBackward:
         s = MimoTransferFunction.siso(tf1).apply(t_a, t_a.leaf(u_a))
         # frozen copy of the other branch output as a constant
         other = filter_forward(tf2, u)
-        yy = t_a.add(s, t_a.constant(as3d(other)))
-        t_a.backward(t_a.total(t_a.square(yy)))
+        yy = add(t_a, s, t_a.constant(as3d(other)))
+        t_a.backward(total(t_a, square(t_a, yy)))
         g_a = u_a.grad
 
         t_b = Tape()
         u_b = Parameter(as3d(u))
         s = MimoTransferFunction.siso(tf2).apply(t_b, t_b.leaf(u_b))
         other = filter_forward(tf1, u)
-        yy = t_b.add(t_b.constant(as3d(other)), s)
-        t_b.backward(t_b.total(t_b.square(yy)))
+        yy = add(t_b, t_b.constant(as3d(other)), s)
+        t_b.backward(total(t_b, square(t_b, yy)))
         g_b = u_b.grad
 
         assert np.allclose(combined, g_a + g_b, rtol=1e-12, atol=1e-13)
@@ -118,10 +120,10 @@ class TestBackward:
         p1, p2 = Parameter(as3d(rng.normal(0.0, 1.0, 6))), Parameter(as3d(rng.normal(0.0, 1.0, 6)))
         tape = Tape()
         x1, x2 = tape.leaf(p1), tape.leaf(p2)
-        extra = tape.total(x1)  # swept after the shared node: x1 gets a second term
+        extra = total(tape, x1)  # swept after the shared node: x1 gets a second term
         dot = tape.custom(float(np.sum(shared * (x1.value + x2.value))), (x1, x2),
                           lambda g: (shared, shared), op="dot")  # g is 1 below
-        tape.backward(tape.add(dot, extra))
+        tape.backward(add(tape, dot, extra))
         assert np.array_equal(p1.grad, before + 1.0)
         assert np.array_equal(p2.grad, before)
         assert np.array_equal(shared, before)
@@ -143,14 +145,14 @@ class TestBackward:
         def grad_of(us):
             tape = Tape()
             losses = [
-                tape.total(tape.square(grid.apply(tape, tape.constant(u))))
+                total(tape, square(tape, grid.apply(tape, tape.constant(u))))
                 for u in us
             ]
-            total = losses[0]
+            loss = losses[0]
             for extra in losses[1:]:
-                total = tape.add(total, extra)
+                loss = add(tape, loss, extra)
             grid.b.grad = np.zeros_like(grid.b.value)
-            tape.backward(total)
+            tape.backward(loss)
             return grid.b.grad.copy()
 
         assert np.allclose(grad_of([u1, u2]), grad_of([u1]) + grad_of([u2]),
@@ -163,7 +165,7 @@ class TestBackward:
         tape = Tape()
         y = grid.apply(tape, tape.constant(u))
         detached = tape.constant(y.value.copy())  # cut the graph here
-        loss = tape.mean(tape.square(detached))
+        loss = mean(tape, square(tape, detached))
         b.grad = np.ones_like(b.value)
         a.grad = np.ones_like(a.value)
         tape.backward(loss)
@@ -179,7 +181,7 @@ class TestBackward:
         def run():
             tape = Tape()
             out = model.apply(tape, tape.constant(u))
-            loss = tape.mean(tape.square(tape.sub(tape.constant(y_ref), out)))
+            loss = mean(tape, square(tape, sub(tape, tape.constant(y_ref), out)))
             for p in params:
                 p.grad = np.zeros_like(p.value)
             tape.backward(loss)

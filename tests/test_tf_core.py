@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import convolve_truncated, filter_forward_reference, flip
+
 from difftf.tf_core import (
     FilterDivergenceError,
     TransferFunction,
-    convolve_truncated,
     filter_forward,
-    filter_forward_reference,
-    flip,
     frequency_response,
     impulse_response,
     random_stable_tf,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import flip
 
 from difftf.blocks import MimoTransferFunction
 from difftf.gradcheck import central_difference, filter_op_gradients, relative_errors
@@ -9,7 +10,6 @@ from difftf.tf_core import (
     TransferFunction,
     filter_forward,
     filter_rows,
-    flip,
     impulse_response,
     random_stable_tf,
 )
