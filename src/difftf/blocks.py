@@ -94,10 +94,17 @@ def run_branches(jobs, samples):
     outcomes += [_outcome(todo[k]) if f.cancel() else f for k, f in enumerate(futures, 1)]
     outcomes = [o if type(o) is tuple else _outcome(o.result) for o in outcomes]
     todo.clear()
-    for _, exc in outcomes:
-        if exc is not None:
-            raise exc
-    return [result for result, _ in outcomes]
+    failed = next((exc for _, exc in outcomes if exc is not None), None)
+    if failed is None:
+        return [result for result, _ in outcomes]
+    # the traceback will hold this frame: with nothing here holding the
+    # exception, the caller's frames (a half-swept tape among them) are freed
+    # with it and not left to the cycle collector
+    outcomes = futures = None
+    try:
+        raise failed
+    finally:
+        failed = None
 
 
 def _check_sizes(kind, **sizes):

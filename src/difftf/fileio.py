@@ -23,19 +23,31 @@ def write_csv(path, header, columns):
     n = columns[0].shape[0]
     if any(c.shape[0] != n for c in columns):
         raise ValueError("all columns must have the same length")
+    formatters = [_cell_formatter(c) for c in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         # formatted a block of rows at a time, column by column
         for lo in range(0, n, _CSV_BLOCK_ROWS):
-            cells = [_column_cells(c[lo : lo + _CSV_BLOCK_ROWS]) for c in columns]
+            cells = [f(c[lo : lo + _CSV_BLOCK_ROWS]) for f, c in zip(formatters, columns)]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _column_cells(col):
-    """Integers as integers, anything else as the repr of a Python float."""
-    if np.issubdtype(col.dtype, np.integer):
-        return map(str, col.tolist())
-    return map(repr, col.astype(float).tolist())
+def _cell_formatter(col):
+    """A function from a slice of col to its cells: integers as integers,
+    anything else as the repr of a Python float.
+
+    An integer column whose values repeat, spanning at most half as many
+    values as it has rows (the time index of several sequences, a sequence
+    index, bin indices), looks its cells up in one table of strings.
+    """
+    if not np.issubdtype(col.dtype, np.integer):
+        return lambda part: map(repr, part.astype(float).tolist())
+    if col.size:
+        lo, hi = int(col.min()), int(col.max())
+        if 2 * (hi - lo + 1) <= col.size:
+            table = {k: str(k) for k in range(lo, hi + 1)}
+            return lambda part: map(table.__getitem__, part.tolist())
+    return lambda part: map(str, part.tolist())
 
 
 def read_csv(path):

@@ -110,13 +110,14 @@ def train(params, build_loss, config):
     """Full-batch gradient training of the given parameters.
 
     build_loss() must construct a fresh tape and return (tape, loss_node) for
-    the current parameter values. On filter divergence, in the forward or the
-    backward pass, the last iterate whose both passes succeeded is restored,
-    the learning rate halved and training continues, up to MAX_LR_HALVINGS
-    times; after that TrainingDivergedError is raised. TrainResult.events
-    records each restore (iteration, pass, t, batch element, the grid op
-    and cell when a filter grid diverged, and the halved lr),
-    each Adam step skipped on a non-finite gradient (iteration and Adam's
+    the current parameter values. train drops both once the step's backward
+    has run or failed, so one tape is alive at a time. On filter divergence,
+    in the forward or the backward pass, the last iterate whose both passes
+    succeeded is restored, the learning rate halved and training continues,
+    up to MAX_LR_HALVINGS times; after that TrainingDivergedError is raised.
+    TrainResult.events records each restore (iteration, pass, t, batch
+    element, the grid op and cell when a filter grid diverged, and the halved
+    lr), each Adam step skipped on a non-finite gradient (iteration and Adam's
     step count t) and a plateau stop (last iteration and best iteration).
     The parameters are left at the best-loss iterate, as views of one vector
     (see Adam); build_loss must not rebind their values.
@@ -160,6 +161,9 @@ def train(params, build_loss, config):
             restores += 1
             events.append({"event": "divergence_restore", **where, "lr": adam.lr})
             continue
+        finally:
+            # the next forward records a new tape: this one, swept or half swept, goes first
+            tape = loss = None
 
         trace.append(loss_value)
         walls.append(time.perf_counter() - t0)

@@ -8,7 +8,10 @@ arrays; a leaf holds its Parameter's value. The tape is rebuilt on every
 forward evaluation (define-by-run); creation order is the forward
 topological order, and the backward sweep visits nodes in exact reverse
 creation order with parents processed in registration order, so repeated
-runs are deterministic bit-for-bit.
+runs are deterministic bit-for-bit. The sweep drops each custom node's vjp
+and adjoint once it has passed the node, so the activations a vjp saved are
+freed before the next node runs; a swept tape keeps only node values and
+leaf adjoints.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ class Parameter:
 class Node:
     """One recorded operation: forward value plus the adjoint rule.
 
-    After backward(), adjoint holds the loss gradient with respect to value,
-    or None when the loss does not depend on the node.
+    After backward(), a leaf's adjoint holds the loss gradient with respect
+    to its value, or None when the loss does not depend on it. A custom node's
+    vjp and adjoint are None once the sweep has passed it.
     """
 
     __slots__ = ("value", "parents", "op", "requires_grad", "vjp", "adjoint")
@@ -103,7 +107,9 @@ class Tape:
     def backward(self, loss):
         """Accumulate adjoints from a scalar loss node into Parameter.grad.
 
-        A tape is swept once: a vjp may consume the activations it saved.
+        A tape is swept once: a vjp may consume the activations it saved,
+        and the sweep drops each custom node's vjp (with everything its
+        closure captured) and adjoint as soon as it has passed the node.
         """
         if not isinstance(loss, Node) or all(loss is not n for n in self._nodes):
             raise ValueError("backward requires a loss node recorded on this tape")
@@ -114,9 +120,10 @@ class Tape:
         self._swept = True
         loss.adjoint = 1.0
         for node in reversed(self._nodes):
-            if node.adjoint is None or node.vjp is None:
+            if node.vjp is None:  # a leaf or a constant
                 continue
-            grads = node.vjp(node.adjoint)
+            grads = () if node.adjoint is None else node.vjp(node.adjoint)
+            node.vjp = node.adjoint = None
             for parent, g in zip(node.parents, grads):
                 if g is None or not parent.requires_grad:
                     continue

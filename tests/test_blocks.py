@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import os
 import signal
@@ -267,6 +268,29 @@ class TestBranchThreads:
             assert run_branches([lambda: 0.0, partial(np.sum, held)], 1) == [0.0, 8.0]
             del held
             assert freed() is None
+
+    def test_raised_exception_frees_the_callers_arrays_without_the_cycle_collector(
+            self, monkeypatch):
+        force_branches(monkeypatch, True)
+        freed = []
+
+        def diverges():
+            raise FilterDivergenceError(0)
+
+        def caller():
+            held = np.ones(8)
+            freed.append(weakref.ref(held))
+            run_branches([diverges, diverges], 1)
+
+        gc.disable()
+        try:
+            try:
+                caller()
+            except FilterDivergenceError:
+                pass
+            assert freed[0]() is None
+        finally:
+            gc.enable()
 
     def test_process_that_ran_a_threaded_grid_exits_promptly(self):
         code = (

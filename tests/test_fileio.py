@@ -39,6 +39,45 @@ class TestCsvRoundTrip:
         write_csv(path, header, [c[:0] for c in columns])
         assert path.read_bytes() == (",".join(header) + "\n").encode()
 
+    def test_writer_bytes_equal_column_block_formatter(self, rng, tmp_path):
+        def column_block_text(header, columns, block=4096):
+            # the writer's earlier formatter: one str/repr map per column and block
+            n = len(columns[0])
+            out = [",".join(header) + "\n"]
+            for lo in range(0, n, block):
+                cells = [map(str, c[lo : lo + block].tolist())
+                         if np.issubdtype(c.dtype, np.integer)
+                         else map(repr, c[lo : lo + block].astype(float).tolist())
+                         for c in columns]
+                out.append("\n".join(map(",".join, zip(*cells))) + "\n")
+            return "".join(out)
+
+        n = 2 * 4096 + 123  # not a multiple of the formatting block
+        special = np.array([-0.0, 0.0, 1e16, -1e16, 1e-5, 5e-324, -5e-324,
+                            np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0])
+        floats = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-20, 20, n)
+        floats[rng.choice(n, 400, replace=False)] = np.resize(special, 400)
+        floats[:special.size] = special
+        ints = rng.integers(-(2**40), 2**40, n)
+        ints[:3] = [0, -1, np.iinfo(np.int64).max]
+        # a time index, then integer columns whose values repeat (table lookup)
+        repeating = [np.arange(n) // 3, rng.integers(-3, 9, n).astype(np.int8),
+                     np.arange(n, dtype=np.uint64) % 7 + np.uint64(2**63)]
+        columns = [np.arange(n), ints, floats, np.flip(floats), *repeating]
+        header = ["t", "i", "f", "g", "seq", "z", "big"]
+        path = tmp_path / "x.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes() == column_block_text(header, columns).encode()
+        cols = read_csv(path)
+        assert np.array_equal(cols["f"], floats, equal_nan=True)
+        assert np.array_equal(np.signbit(cols["f"]), np.signbit(floats))
+        assert np.array_equal(cols["g"], np.flip(floats), equal_nan=True)
+        # read_csv parses floats: integers above 2**53 come back rounded
+        assert np.array_equal(cols["i"][3:], ints[3:])
+        assert cols["i"][2] == float(ints[2])
+        assert np.array_equal(cols["t"], np.arange(n))
+        assert np.array_equal(cols["z"], repeating[1])
+
     def test_single_sequence_dataset(self, rng, tmp_path):
         path = tmp_path / "d.csv"
         u = rng.normal(0.0, 1.0, 30)

@@ -1,8 +1,13 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from oracles import add, mean, scale, square, sub, total
 
-from difftf.blocks import BlockModel, MimoTransferFunction
+from difftf.blocks import BlockModel, MimoTransferFunction, build_pwh
+from difftf.metrics import mse_loss_node
 from difftf.optim import Adam, TrainConfig, TrainingDivergedError, train
 from difftf.tape import Parameter, Tape
 from difftf.tf_core import FilterDivergenceError, filter_forward
@@ -375,3 +380,66 @@ class TestTrain:
         assert result.iterations_run < 100
         assert result.events == [{"event": "plateau_stop", "iteration": result.iterations_run - 1,
                                   "best_iteration": result.best_iteration}]
+
+
+class TestOneTapeAlive:
+    """train drops each step's tape before the next forward records one."""
+
+    @staticmethod
+    def pwh_builder(rng, batch, T, diverge_at=None):
+        model = build_pwh(n_b=4, n_a=4, hidden=10, rng=rng)
+        u = rng.normal(0.0, 1.0, (batch, T, 1))
+        y = rng.normal(0.0, 1.0, (batch, T, 1))
+        alive = []  # per call: whether the tape of the call before is still alive
+        last = [lambda: None]  # a weak reference to the last tape recorded
+
+        def build_loss():
+            alive.append(last[0]() is not None)
+            tape = Tape()
+            last[0] = weakref.ref(tape)
+            loss = mse_loss_node(tape, model.apply(tape, tape.constant(u)), y)
+            if len(alive) != diverge_at:
+                return tape, loss
+
+            def vjp(g):
+                raise FilterDivergenceError(3)
+
+            # swept first: backward fails while every other node still holds its vjp
+            return tape, tape.custom(loss.value, (loss,), vjp, op="diverging")
+
+        return [p for _, p in model.parameters()], build_loss, alive
+
+    @pytest.fixture
+    def no_gc(self):
+        # only reference counting may free a tape: a cycle must not hide behind gc
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_previous_tape_is_dead_at_each_forward(self, rng, no_gc):
+        params, build_loss, alive = self.pwh_builder(rng, 2, 64)
+        result = train(params, build_loss, TrainConfig(iterations=4, lr=1e-3))
+        assert result.iterations_run == 4
+        assert alive == [False] * 4
+
+    def test_half_swept_tape_is_dead_at_the_retry(self, rng, no_gc):
+        params, build_loss, alive = self.pwh_builder(rng, 2, 64, diverge_at=2)
+        result = train(params, build_loss, TrainConfig(iterations=3, lr=1e-3))
+        assert alive == [False] * 4  # the third call retries the second
+        assert result.divergence_restores == 1
+        assert [(e["pass"], e["iteration"]) for e in result.events] == [("backward", 1)]
+
+    def test_training_peak_memory_is_one_step(self, rng):
+        params, build_loss, _ = self.pwh_builder(rng, 4, 2048)
+        tracemalloc.start()
+        try:
+            tape, loss = build_loss()
+            tape.backward(loss)
+            del tape, loss
+            one_step = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            train(params, build_loss, TrainConfig(iterations=3, lr=1e-3))
+            three_steps = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert three_steps <= 1.25 * one_step

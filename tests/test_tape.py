@@ -1,9 +1,13 @@
+import weakref
+
 import numpy as np
 import pytest
 from oracles import add, mean, square, sub, total
 
-from difftf.gradcheck import mse_loss_on, parameter_errors
-from difftf.blocks import MimoTransferFunction, build_wh
+from difftf.gradcheck import GRAD_TOL, mse_loss_on, parameter_errors
+from difftf.blocks import MimoTransferFunction, build_pwh, build_wh
+from difftf.pem import PemModel
+from difftf.quantized import Quantizer, quantize, quantized_loglik_node
 from difftf.tape import Parameter, Tape
 from difftf.tf_core import TransferFunction, filter_forward, random_stable_tf
 
@@ -192,3 +196,83 @@ class TestBackward:
         assert l1 == l2
         for x, y in zip(g1, g2):
             assert np.array_equal(x, y)
+
+
+def _pwh_mse(rng):
+    model = build_pwh(n_b=3, n_a=3, hidden=4, rng=rng)
+    u = rng.normal(0.0, 1.0, (3, 40, 1))
+    y = rng.normal(0.0, 1.0, (3, 40, 1))
+    return [p for _, p in model.parameters()], mse_loss_on(model, u, y)
+
+
+def _wh_pem(rng):
+    pm = PemModel(build_wh(n_b=2, n_a=2, hidden=3, rng=rng), noise_n_b=2, noise_n_a=2)
+    pm.noise_b.value = rng.normal(0.0, 0.1, pm.noise_b.value.shape)
+    pm.noise_a.value = rng.normal(0.0, 0.1, pm.noise_a.value.shape)
+    u = rng.normal(0.0, 1.0, (1, 40, 1))
+    y = rng.normal(0.0, 1.0, (1, 40, 1))
+    return [p for _, p in pm.parameters()], lambda tape: pm.pem_loss_node(tape, u, y)
+
+
+def _pwh_quantized(rng):
+    model = build_pwh(n_b=2, n_a=2, hidden=3, rng=rng)
+    u = rng.normal(0.0, 1.0, (2, 40, 1))
+    qz = Quantizer.uniform(12, -2.0, 2.0)
+    lo, hi = qz.bin_edges(quantize(model.simulate(u) + rng.normal(0.0, 0.2, (2, 40, 1)), qz))
+    log_sigma = Parameter(np.log(0.2), "log_sigma")
+
+    def loss_on(tape):
+        out = model.apply(tape, tape.constant(u))
+        return quantized_loglik_node(tape, out, lo, hi, log_sigma)
+
+    return [p for _, p in model.parameters()] + [log_sigma], loss_on
+
+
+class TestRelease:
+    @pytest.mark.parametrize("case", [_pwh_mse, _wh_pem, _pwh_quantized])
+    def test_sweep_drops_custom_vjps_and_adjoints_and_keeps_gradients(self, rng, case):
+        params, loss_on = case(rng)
+        tape = Tape()
+        loss = loss_on(tape)
+        ops = [n.op for n in tape._nodes]
+        values = [n.value for n in tape._nodes]
+        copies = [np.copy(v) for v in values]
+        for p in params:
+            p.grad = np.zeros_like(p.value)
+        tape.backward(loss)
+
+        custom = [n for n in tape._nodes if n.parents]
+        assert custom and all(n.vjp is None and n.adjoint is None for n in custom)
+        assert all(n.adjoint is not None for _, n in tape._leaves.values())
+        assert [n.op for n in tape._nodes] == ops
+        for node, value, copy in zip(tape._nodes, values, copies):
+            assert node.value is value and np.array_equal(value, copy)
+        with pytest.raises(ValueError, match="already ran"):
+            tape.backward(loss)
+
+        # the released tape's gradients are those that pass gradcheck
+        grads = [p.grad.copy() for p in params]
+        assert max(parameter_errors(params, loss_on)) <= GRAD_TOL
+        for p, g in zip(params, grads):
+            assert np.array_equal(p.grad, g)
+
+    def test_activations_a_vjp_saved_are_freed_before_the_next_node_runs(self):
+        p = Parameter(np.ones(3), "p")
+        tape = Tape()
+        x = tape.leaf(p)
+        seen = []
+
+        def first_vjp(g):
+            seen.append(saved_ref())
+            return (2.0 * g,)
+
+        first = tape.custom(2.0 * x.value, (x,), first_vjp, op="first")
+        saved = np.arange(3.0)  # an activation only the second node's vjp holds
+        saved_ref = weakref.ref(saved)
+        second = tape.custom(float(np.sum(saved * first.value)), (first,),
+                             lambda g, saved=saved: (g * saved,), op="second")
+        del saved
+        assert saved_ref() is not None
+        tape.backward(second)
+        assert seen == [None]
+        assert np.array_equal(p.grad, 2.0 * np.arange(3.0))
