@@ -40,14 +40,23 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
-# Handing jobs to the worker and back costs about 0.1-0.7 ms on a 2-vCPU VM,
-# and while the host takes CPU time from the VM (steal) the two threads gain
-# little. A branch over fewer samples than this has too little work to pay
-# for that steadily: a PWH model's forward at 40960 samples a branch (three
-# hand-offs) ran at 0.78 to 1.02 of its serial time from one 20 s run to the
-# next as steal went from 5 % to 23 %, against 0.71 to 0.96 for training
-# steps at 81920.
-MIN_BRANCH_SAMPLES = 65536
+# Handing two no-op jobs through run_branches costs about 8 us on a 2-vCPU
+# AMD EPYC VM with under 0.5 % steal (CPU time the host takes from the VM).
+# There a PWH model's forward (simulate) and its forward plus backward ran at
+# these fractions of their serial time (medians of 41 alternating pairs, the
+# range over two runs):
+#
+#     batch x T   samples a branch   simulate    forward + backward
+#     10 x 4096        40960         0.60-0.65   0.52-0.74
+#      8 x 4096        32768         0.62-0.65   0.63-0.69
+#      4 x 4096        16384         0.66-0.68   0.70-0.97
+#      2 x 4096         8192         0.74-0.96   0.83-0.99
+#      2 x 1024         2048         1.10-1.19   1.28-1.30
+#      1 x  256          256         1.78-1.81   1.47-1.50
+#
+# 32768 is the smallest power of two at which every shape gained clearly in
+# every run; below it the gain came and went.
+MIN_BRANCH_SAMPLES = 32768
 
 
 def branch_threads(n_jobs, samples):

@@ -37,9 +37,9 @@ _CANCEL = 1e-3
 _TAIL_CUT = -20.0
 _PDF_CLIP = 60.0
 # run_branches sizes its branches in samples of a filter cell: a likelihood
-# sample (two ndtr calls) costs about 67 ns and a sample of a 12/13-tap cell
-# about 22 ns (2-vCPU VM), so counting a likelihood sample as two is
-# conservative
+# sample (two ndtr calls) costs about 29 ns and a sample of a 12/13-tap cell
+# about 8.6 ns (2-vCPU AMD EPYC VM), so counting a likelihood sample as two
+# is conservative
 _SAMPLE_WEIGHT = 2
 
 

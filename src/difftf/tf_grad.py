@@ -12,7 +12,7 @@ adjoints from taps and lagged dot products, by <g, F u> = <F^T g, u>:
 The lag reductions run on gapped buffers: the rows laid end to end in one
 flat array with `pad` zeros before each row and after the last, pad at least
 the largest lag. A lag then never reads across a row boundary, so each lag
-is one dot over the whole batch.
+is one sum over the whole batch, and one correlation gives every lag.
 
 sens_b0_rows and sens_a1_rows give the sensitivity form of the same
 gradients (b_bar_j = sum_t g(t) sigma_b0(t - j), likewise for a): an
@@ -24,6 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from .tf_core import FilterDivergenceError, TransferFunction, filter_rows
+
+# numpy correlates a kernel of up to 11 taps with unrolled loops and a longer
+# one through dot calls: on 82,193 samples 11 taps took 0.12 ms and 12 taps
+# 0.45 ms (2-vCPU AMD EPYC VM)
+_CORRELATE_TAPS = 11
 
 
 def sens_b0_rows(params, u_rows):
@@ -60,9 +65,14 @@ def ungapped(flat, batch, pad):
 
 
 def _lag_dots(w, s, lags):
-    """sum_k w[k] s[k - L] for each lag L, on gapped buffers of one layout."""
+    """sum_k w[k] s[k - L] for each lag L of the ascending run `lags`, on
+    gapped buffers of one layout.
+
+    One correlation gives every lag. It starts each sum at k = lags[-1],
+    which leaves out only the zeros that w has in front of its first row.
+    """
     n = w.size
-    return np.array([np.dot(w[L:], s[: n - L]) for L in lags])
+    return np.correlate(s[: n - lags[0]], w[lags[-1] :], "valid")[::-1]
 
 
 def grad_b_rows(w, x, n_b, n_k):
@@ -85,9 +95,17 @@ def grad_x_rows(params, w):
     """x_bar(t) = sum_j b_j w(t + j + n_k) as a gapped buffer, w gapped with pad >= n_k + n_b.
 
     The correlation reads zeros past the end, so the last row's tail is exact.
+    The taps are split into even pieces of at most _CORRELATE_TAPS, one
+    correlation each, summed in tap order.
     """
     h = params.full_numerator()
-    return np.correlate(w, h, "full")[h.size - 1 :]
+    first, *rest = np.array_split(h, -(-h.size // _CORRELATE_TAPS))
+    x_bar = np.correlate(w, first, "full")[first.size - 1 :]
+    start = first.size
+    for piece in rest:
+        x_bar[: w.size - start] += np.correlate(w[start:], piece, "full")[piece.size - 1 :]
+        start += piece.size
+    return x_bar
 
 
 def grad_u_rows(params, y_bar_rows):

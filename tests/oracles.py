@@ -1,7 +1,8 @@
 """Slow, independent oracles that the tests check difftf against.
 
 - Filters: the literal difference equation, the truncated convolution with
-  an impulse response, time reversal.
+  an impulse response, time reversal, and the lagged sums and correlation
+  of the filter backward pass, term by term.
 - Quantized likelihood: the normal CDF, the per-sample log-likelihood terms
   and the probability of every bin.
 - PEM: the impulse response of the inverse noise filter.
@@ -72,6 +73,25 @@ def convolve_truncated(g, u):
 def flip(x):
     """Time reversal along the last axis: (flip(x))_t = x_{T-t-1}."""
     return _as_rows(x)[:, ::-1].reshape(np.shape(x)).copy()
+
+
+def lag_sums(w_rows, s_rows, lags):
+    """sum over rows and t of w(t) s(t - L) for each lag L, term by term on
+    (batch, T) rows, s read as zero before each row's start."""
+    batch, T = w_rows.shape
+    return np.array([sum(w_rows[r, t] * s_rows[r, t - L] for r in range(batch) for t in range(L, T))
+                     for L in lags])
+
+
+def correlate_rows(w_rows, h):
+    """x(t) = sum_j h_j w(t + j) term by term on (batch, T) rows, w read as
+    zero past each row's end."""
+    batch, T = w_rows.shape
+    out = np.zeros((batch, T))
+    for r in range(batch):
+        for t in range(T):
+            out[r, t] = sum(h[j] * w_rows[r, t + j] for j in range(len(h)) if t + j < T)
+    return out
 
 
 # ---- quantized likelihood -------------------------------------------------

@@ -361,6 +361,46 @@ class TestBranchThreads:
         assert not blocks.branch_threads(1, big) and not blocks.branch_threads(2, big - 1)
         assert run_branches([threading.get_ident] * 3, big - 1) == [threading.get_ident()] * 3
 
+    @staticmethod
+    def pwh_on(rng, batch):
+        """A PWH model with poles and an input of `batch` rows of 4096 samples."""
+        model = build_pwh(rng=rng)
+        for grid in (model.blocks[0], model.blocks[2]):
+            grid.a.value[...] = rng.normal(0.0, 0.05, grid.a.value.shape)
+        return model, rng.normal(0.0, 1.0, (batch, 4096, 1))
+
+    def test_pwh_simulate_threads_at_10x4096_and_not_at_4x4096(self, rng, monkeypatch):
+        taken = []
+
+        def spy(n_jobs, samples, real=blocks.branch_threads):
+            taken.append(real(n_jobs, samples))
+            return taken[-1]
+
+        monkeypatch.setattr(blocks, "branch_threads", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        model, x = self.pwh_on(rng, 10)
+        model.simulate(x)
+        assert taken == [True] * 3  # the 2x1 grid, the two nets, the 1x2 grid
+        taken.clear()
+        model.simulate(x[:4])
+        assert taken == [False] * 3
+
+    def test_pwh_at_10x4096_threaded_equals_serial_bit_for_bit(self, rng, monkeypatch):
+        model, x = self.pwh_on(rng, 10)
+        target = rng.normal(0.0, 1.0, x.shape)
+        params = [p for _, p in model.parameters()]
+        results = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert blocks.branch_threads(2, x.shape[0] * x.shape[1]) == (len(cpus) > 1)
+            y = model.simulate(x)
+            tape = Tape()
+            loss = mse_loss_on(model, x, target)(tape)
+            tape.backward(loss)
+            results.append([y, loss.value, *(p.grad.copy() for p in params)])
+        for serial, threaded in zip(*results):
+            assert np.array_equal(serial, threaded)
+
     @pytest.mark.parametrize("out_ch, in_ch", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_threaded_grid_equals_serial_bit_for_bit(self, rng, monkeypatch, out_ch, in_ch):
         grid = MimoTransferFunction(out_ch, in_ch, 4, 3, 1, rng=rng)

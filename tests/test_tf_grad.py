@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import flip
+from oracles import correlate_rows, flip, lag_sums
 
 from difftf.blocks import MimoTransferFunction
 from difftf.gradcheck import central_difference, filter_op_gradients, relative_errors
@@ -390,3 +390,41 @@ class TestGridBackward:
         assert relative_errors(b_bar, fd_b).max() <= 1e-5
         assert relative_errors(a_bar, fd_a).max() <= 1e-5
         assert relative_errors(u_bar, fd_u).max() <= 1e-5
+
+
+class TestLagKernelsAgainstTermByTermSums:
+    """grad_b_rows, grad_a_rows and grad_x_rows on gapped buffers against the
+    lagged sums written out term by term, for 1 to 25 taps: numpy's correlate
+    changes method between 11 and 12 taps, and grad_x_rows splits at 11."""
+
+    T = 40
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n_k", [0, 1, 2])
+    def test_grad_b_rows(self, rng, batch, n_k):
+        for taps in range(1, 26):
+            pad = n_k + taps - 1
+            w, x = rng.normal(0.0, 1.0, (2, batch, self.T))
+            got = grad_b_rows(gapped(w, pad), gapped(x, pad), taps - 1, n_k)
+            want = lag_sums(w, x, range(n_k, n_k + taps))
+            assert rel_gap(got, want) <= 1e-13, taps
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("extra_pad", [0, 1, 2])
+    def test_grad_a_rows(self, rng, batch, extra_pad):
+        # a grid pads by its largest lag, which can be n_k + n_b > n_a
+        for taps in range(1, 26):
+            pad = taps + extra_pad
+            w, y = rng.normal(0.0, 1.0, (2, batch, self.T))
+            got = grad_a_rows(gapped(w, pad), gapped(y, pad), taps)
+            assert rel_gap(got, -lag_sums(w, y, range(1, taps + 1))) <= 1e-13, taps
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n_k", [0, 1, 2])
+    def test_grad_x_rows(self, rng, batch, n_k):
+        for taps in range(1, 26):
+            tf = TransferFunction(rng.normal(0.0, 1.0, taps), [], n_k)
+            pad = largest_lag(tf)
+            w = rng.normal(0.0, 1.0, (batch, self.T))
+            got = ungapped(grad_x_rows(tf, gapped(w, pad)), batch, pad)
+            assert rel_gap(got, correlate_rows(w, tf.full_numerator())) <= 1e-13, taps
