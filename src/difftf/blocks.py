@@ -281,98 +281,45 @@ def _time_major(a, batch, T):
     return np.stack(tuple(a.reshape(-1, batch * T)), axis=1).reshape(batch, T, -1)
 
 
-def _stack(nets):
-    """Weights of independent nets stacked on a leading net axis."""
-    columns = zip(*([p.value for _, p in net.parameters()] for net in nets))
-    return tuple(np.stack(values) for values in columns)
-
-
-def _nets(arrays, k):
-    """Net k's slices (leading axis kept) of arrays stacked on the net axis."""
-    return [None if a is None else a[k : k + 1] for a in arrays]
-
-
-def static_nets_forward(w1, b1, w2, b2, x):
-    """G independent tanh nets y = W2 tanh(W1 x + b1) + b2 on a (batch, T, G*I) series.
+def _nets_forward(nets, x):
+    """Independent tanh nets of one in, hidden and out width on a (batch, T, G*I) series.
 
     Net k reads input channels [k*I, (k+1)*I) and writes output channels
-    [k*O, (k+1)*O). Weights are stacked per net: w1 (G, H, I), b1 (G, H),
-    w2 (G, O, H), b2 (G, O). Returns the (batch, T, G*O) output, the input as
-    (G, I, N) and the hidden activations as one contiguous (G, H, N) array,
-    N = batch*T, so that per-unit broadcasts and reductions run along rows.
-    Each net is one run_branches job writing its own slice of hid and yT.
+    [k*O, (k+1)*O). Returns the (batch, T, G*O) output, the input as (G, I, N)
+    and the hidden activations as one contiguous (G, H, N) array, N = batch*T,
+    so that per-unit broadcasts and reductions run along rows. Each net is one
+    run_branches job writing its own [k] slices of the hidden and output arrays.
     """
-    G, H, I = w1.shape
-    _check_width(G * I, x)
-    xT = _feature_major(x, G, I)
-    hid = np.empty((G, H, xT.shape[2]))
-    yT = np.empty((G, w2.shape[1], xT.shape[2]))
-    arrays = (w1, b1, w2, b2, xT, hid, yT)
-    run_branches([partial(_nets_forward_into, *_nets(arrays, k)) for k in range(G)], xT.shape[2])
+    G, net = len(nets), nets[0]
+    _check_width(G * net.in_channels, x)
+    xT = _feature_major(x, G, net.in_channels)
+    # one hidden and one output array for all nets: a hidden array per net made
+    # a PWH training step at 20 x 4096 about 25 % slower, and not only in the
+    # nets: the forward of the filter grids and the likelihood slowed too (the
+    # cause is unverified)
+    hid = np.empty((G, net.hidden, xT.shape[2]))
+    yT = np.empty((G, net.out_channels, xT.shape[2]))
+    jobs = [partial(n._forward_into, xT[k], hid[k], yT[k]) for k, n in enumerate(nets)]
+    run_branches(jobs, xT.shape[2])
     return _time_major(yT, x.shape[0], x.shape[1]), xT, hid
 
 
-def _nets_forward_into(w1, b1, w2, b2, xT, hid, yT):
-    # a width-1 product is written as a broadcast: matmul over a length-1 axis is slow
-    if w1.shape[2] == 1:
-        np.multiply(w1, xT, out=hid)
-    else:
-        np.matmul(w1, xT, out=hid)
-    hid += b1[:, :, np.newaxis]
-    np.tanh(hid, out=hid)
-    np.matmul(w2, hid, out=yT)
-    yT += b2[:, :, np.newaxis]
-
-
-def static_nets_vjp(w1, w2, xT, hid, g, need_x=True):
-    """Stacked adjoints (w1, b1, w2, b2, x) of static_nets_forward for the output adjoint g.
-
-    Consumes hid: it is overwritten with damp = 1 - hid^2, so the vjp
-    allocates nothing the size of the hidden array. The pre-activation
-    adjoint z = damp * W2^T g is never formed either: every reduction of z is
-    written as one of damp against rows of length N. Each net is one
-    run_branches job writing its own slice of the stacked adjoints.
-    """
-    G, H, I = w1.shape
-    O = w2.shape[1]
-    batch, T, _ = g.shape
-    gT = _feature_major(g, G, O)
-    bars = (np.empty_like(w1), np.empty((G, H)), np.empty_like(w2), np.empty((G, O)))
-    x_bar = x_barT = None
-    if need_x:
-        x_bar = np.empty((batch, T, G * I))
-        x_barT = x_bar.reshape(-1, G * I).T.reshape(G, I, -1)  # a view: written in place
-    arrays = (w1, w2, xT, hid, gT, *bars, x_barT)
-    run_branches([partial(_nets_vjp_into, *_nets(arrays, k)) for k in range(G)], xT.shape[2])
-    return (*bars, x_bar)
-
-
-def _nets_vjp_into(w1, w2, xT, hid, gT, w1_bar, b1_bar, w2_bar, b2_bar, x_barT):
-    G, H, I = w1.shape
-    O = w2.shape[1]
-    np.matmul(gT, hid.transpose(0, 2, 1), out=w2_bar)
-    damp = np.multiply(hid, hid, out=hid)
-    np.subtract(1.0, damp, out=damp)
-    gx = (gT[:, :, np.newaxis] * xT[:, np.newaxis]).reshape(G, O * I, -1)
-    np.einsum("goh,gho->gh", w2, np.matmul(damp, gT.transpose(0, 2, 1)), out=b1_bar)
-    m = np.matmul(damp, gx.transpose(0, 2, 1)).reshape(G, H, O, I)
-    np.einsum("goh,ghoi->ghi", w2, m, out=w1_bar)
-    if x_barT is not None:
-        w2w1 = (w2[:, :, np.newaxis, :] * w1.transpose(0, 2, 1)[:, np.newaxis]).reshape(G, -1, H)
-        np.einsum("gon,goin->gin", gT, np.matmul(w2w1, damp).reshape(G, O, I, -1), out=x_barT)
-    np.sum(gT, axis=2, out=b2_bar)
-
-
 def _apply_static_nets(tape, nets, x_node):
-    """Record independent nets as one `mlp` node; the vjp splits the stacked
-    adjoints back onto each net's Parameters."""
+    """Record independent nets as one `mlp` node whose vjp runs one job per net."""
     leaves = [tape.leaf(p) for net in nets for _, p in net.parameters()]
-    w1, b1, w2, b2 = _stack(nets)
-    y, xT, hid = static_nets_forward(w1, b1, w2, b2, x_node.value)
+    y, xT, hid = _nets_forward(nets, x_node.value)
 
     def vjp(g):
-        *bars, x_bar = static_nets_vjp(w1, w2, xT, hid, g, x_node.requires_grad)
-        return (*(bar[k] for k in range(len(nets)) for bar in bars), x_bar)
+        G, I = len(nets), nets[0].in_channels
+        gT = _feature_major(g, G, nets[0].out_channels)
+        x_bar, x_barT = None, [None] * G
+        if x_node.requires_grad:
+            x_bar = np.empty(x_node.value.shape)
+            x_barT = x_bar.reshape(-1, G * I).T.reshape(G, I, -1)  # a view: written in place
+        jobs = [partial(net._vjp_into, xT[k], hid[k], gT[k], x_barT[k])
+                for k, net in enumerate(nets)]
+        bars = run_branches(jobs, xT.shape[2])
+        return (*(bar for net_bars in bars for bar in net_bars), x_bar)
 
     return tape.custom(y, (*leaves, x_node), vjp, op="mlp")
 
@@ -396,6 +343,11 @@ class Mlp:
             b2 = rng.uniform(-1, 1, self.out_channels) / np.sqrt(self.hidden)
         else:
             w1, b1, w2, b2 = (np.asarray(w, dtype=float) for w in weights)
+            want = [(self.hidden, self.in_channels), (self.hidden,),
+                    (self.out_channels, self.hidden), (self.out_channels,)]
+            got = [w.shape for w in (w1, b1, w2, b2)]
+            if got != want:
+                raise ValueError(f"mlp weights have shapes {got}, its sizes give {want}")
         self.w1 = Parameter(w1, "w1")
         self.b1 = Parameter(b1, "b1")
         self.w2 = Parameter(w2, "w2")
@@ -405,7 +357,42 @@ class Mlp:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
     def simulate(self, x):
-        return static_nets_forward(*_stack([self]), x)[0]
+        return _nets_forward([self], x)[0]
+
+    def _forward_into(self, xT, hid, yT):
+        """Write the (H, N) hidden activations and the (O, N) output for the (I, N) input."""
+        # a width-1 product is written as a broadcast: matmul over a length-1 axis is slow
+        if self.in_channels == 1:
+            np.multiply(self.w1.value, xT, out=hid)
+        else:
+            np.matmul(self.w1.value, xT, out=hid)
+        hid += self.b1.value[:, np.newaxis]
+        np.tanh(hid, out=hid)
+        np.matmul(self.w2.value, hid, out=yT)
+        yT += self.b2.value[:, np.newaxis]
+
+    def _vjp_into(self, xT, hid, gT, x_barT):
+        """Adjoints (w1, b1, w2, b2) of _forward_into for the (O, N) output adjoint gT;
+        the (I, N) input adjoint goes into x_barT unless it is None.
+
+        Consumes hid: it is overwritten with damp = 1 - hid^2, so the vjp
+        allocates nothing the size of the hidden array. The pre-activation
+        adjoint z = damp * W2^T g is never formed either: every reduction of z
+        is written as one of damp against rows of length N.
+        """
+        w1, w2 = self.w1.value, self.w2.value
+        H, I, O = self.hidden, self.in_channels, self.out_channels
+        w2_bar = np.matmul(gT, hid.T)
+        damp = np.multiply(hid, hid, out=hid)
+        np.subtract(1.0, damp, out=damp)
+        gx = (gT[:, np.newaxis] * xT[np.newaxis]).reshape(O * I, -1)
+        b1_bar = np.einsum("oh,ho->h", w2, np.matmul(damp, gT.T))
+        m = np.matmul(damp, gx.T).reshape(H, O, I)
+        w1_bar = np.einsum("oh,hoi->hi", w2, m)
+        if x_barT is not None:
+            w2w1 = (w2[:, np.newaxis, :] * w1.T[np.newaxis]).reshape(-1, H)
+            np.einsum("on,oin->in", gT, np.matmul(w2w1, damp).reshape(O, I, -1), out=x_barT)
+        return w1_bar, b1_bar, w2_bar, np.sum(gT, axis=1)
 
     def apply(self, tape, x_node):
         return _apply_static_nets(tape, [self], x_node)
@@ -441,6 +428,7 @@ class ParallelMlp:
         for net in self.nets:
             if net.in_channels != 1 or net.out_channels != 1:
                 raise ValueError("parallel nets must be one-input-one-output")
+        # the nets' hidden activations are one (nets, hidden, N) allocation
         if len({net.hidden for net in self.nets}) > 1:
             raise ValueError("parallel nets must share one hidden width")
         self.in_channels = len(self.nets)
@@ -453,7 +441,7 @@ class ParallelMlp:
         return out
 
     def simulate(self, x):
-        return static_nets_forward(*_stack(self.nets), x)[0]
+        return _nets_forward(self.nets, x)[0]
 
     def apply(self, tape, x_node):
         return _apply_static_nets(tape, self.nets, x_node)

@@ -105,7 +105,9 @@ def read_dataset(path):
             raise ValueError(f"{path}: non-finite value in the {name} column")
     u = cols["u"]
     if "seq" in cols:
-        seq = cols["seq"].astype(int)
+        seq = cols["seq"].astype(np.int64)
+        if np.any(seq != cols["seq"]):
+            raise ValueError(f"{path}: malformed seq column")
         n_seq = seq.max() + 1
         T = u.shape[0] // n_seq
         if T * n_seq != u.shape[0] or np.any(

@@ -80,9 +80,9 @@ class Tape:
 
     # ---- leaves -------------------------------------------------------
 
-    def constant(self, value, op="const"):
+    def constant(self, value):
         """Non-differentiable input (a detached value)."""
-        return self._record(Node(_as_value(value), op=op))
+        return self._record(Node(_as_value(value)))
 
     def leaf(self, param):
         """Leaf node for a Parameter, memoized so fan-out adjoints accumulate."""

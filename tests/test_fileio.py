@@ -131,3 +131,10 @@ class TestCsvRoundTrip:
         path.write_text("seq,t,u,y\n0,0,1.0,1.0\n2,0,1.0,1.0\n")
         with pytest.raises(ValueError, match="seq"):
             read_dataset(path)
+
+    def test_non_integer_seq_detected(self, tmp_path):
+        # 0.5 would be truncated to 0 and read as two sequences of two rows
+        path = tmp_path / "bad.csv"
+        path.write_text("seq,t,u,y\n0,0,1.0,1.0\n0.5,1,1.0,1.0\n1,0,1.0,1.0\n1,1,1.0,1.0\n")
+        with pytest.raises(ValueError, match="malformed seq column"):
+            read_dataset(path)
