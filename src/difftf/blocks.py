@@ -216,20 +216,18 @@ class MimoTransferFunction:
             # every cell writes its own b and a slice and returns its share of
             # x_bar; input channel i is written from output 0's share and added
             # into from the further outputs', in the serial order
-            b_bar = np.empty_like(self.b.value) if b_node.requires_grad else None
-            a_bar = np.empty_like(self.a.value) if a_node.requires_grad else None
+            b_bar = np.empty_like(self.b.value)
+            a_bar = np.empty_like(self.a.value)
             batch = x.shape[0]
             pad = max(self.n_k + self.n_b, self.n_a)  # the largest lag
-            if b_bar is not None:
-                x_gap = [tf_grad.gapped(x[:, :, i], pad) for i in range(self.in_channels)]
+            x_gap = [tf_grad.gapped(x[:, :, i], pad) for i in range(self.in_channels)]
 
             def cell_adjoints(o, i, cell, y_oi):
                 # w = A^-T g_o, reversed back while copied into the gapped buffer
                 all_pole = TransferFunction(np.ones(1), cell.a)
                 w = tf_grad.gapped(tf_grad.grad_u_rows(all_pole, g[:, :, o]), pad)
-                if b_bar is not None:
-                    b_bar[o, i] = tf_grad.grad_b_rows(w, x_gap[i], self.n_b, self.n_k)
-                if a_bar is not None and self.n_a > 0:
+                b_bar[o, i] = tf_grad.grad_b_rows(w, x_gap[i], self.n_b, self.n_k)
+                if self.n_a > 0:
                     a_bar[o, i] = tf_grad.grad_a_rows(w, tf_grad.gapped(y_oi, pad), self.n_a)
                 if x_node.requires_grad:
                     return tf_grad.ungapped(tf_grad.grad_x_rows(cell, w), batch, pad)

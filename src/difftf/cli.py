@@ -88,7 +88,6 @@ _TRAIN_KEYS = {
     "plateau_patience": (int, 0, _at_least(0)),  # 0: no plateau stop
     "plateau_rtol": (float, 1e-5, _at_least(0)),
     "log_every": (int, 0, _at_least(0)),  # 0: no progress lines
-    "batch_size": (int, 0, _at_least(0)),  # 0: full batch
 }
 
 _EVAL_KEYS = {
@@ -292,30 +291,14 @@ def cmd_train(cfg):
         params.append(log_sigma)
     diagnostics = LoglikDiagnostics()
 
-    # minibatching (off by default) samples whole sequences per iteration;
-    # splitting one sequence would violate the rest-initialization convention
-    batch_size = cfg["batch_size"]
-    n_seq = u_n.shape[0]
-    if batch_size >= n_seq:  # the domain already rules out a negative size
-        raise UsageError("batch_size must be smaller than the sequence count")
-    batch_rng = np.random.default_rng(cfg["seed"] + 1) if batch_size else None
-
-    def pick_rows():
-        if not batch_size:
-            return slice(None)
-        return np.sort(batch_rng.choice(n_seq, size=batch_size, replace=False))
-
     def build_loss():
-        rows = pick_rows()
-        u_b = u_n[rows]
         tape = Tape()
         if loss_kind == "pem":
-            return tape, pm.pem_loss_node(tape, u_b, y_n[rows])
-        out_node = model.apply(tape, tape.constant(u_b))
+            return tape, pm.pem_loss_node(tape, u_n, y_n)
+        out_node = model.apply(tape, tape.constant(u_n))
         if loss_kind == "mse":
-            return tape, mse_loss_node(tape, out_node, y_n[rows])
-        return tape, quantized_loglik_node(tape, out_node, lo[rows], hi[rows], log_sigma,
-                                           diagnostics)
+            return tape, mse_loss_node(tape, out_node, y_n)
+        return tape, quantized_loglik_node(tape, out_node, lo, hi, log_sigma, diagnostics)
 
     tc = TrainConfig(
         iterations=cfg["iterations"],

@@ -89,7 +89,8 @@ def write_dataset(path, u, y=None, z=None):
 def read_dataset(path):
     """Load a dataset CSV into (u, y_or_z, kind) with u shaped (batch, T).
 
-    kind is "y" for real outputs or "z" for quantized bin indices.
+    kind is "y" for real outputs or "z" for quantized bin indices. A file
+    with a header and no data rows raises ValueError.
     """
     cols = read_csv(path)
     if "u" not in cols:
@@ -100,6 +101,8 @@ def read_dataset(path):
         kind, out = "z", cols["z"]
     else:
         raise ValueError(f"{path}: need a y or z column")
+    if out.size == 0:
+        raise ValueError(f"{path}: no data rows")
     for name, values in (("u", cols["u"]), (kind, out)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{path}: non-finite value in the {name} column")

@@ -16,9 +16,8 @@ MAX_LR_HALVINGS = 5
 class TrainingDivergedError(RuntimeError):
     """Training could not recover from repeated filter divergence."""
 
-    def __init__(self, restores, trace, events):
+    def __init__(self, restores, events):
         self.restores = restores
-        self.trace = trace
         self.events = events  # the run's events, ending with the divergence it stopped on
         super().__init__(
             f"training aborted after {restores} divergence recoveries"
@@ -155,7 +154,7 @@ def train(params, build_loss, config):
                 where.update(op="mimo_filter", cell=list(exc.cell))
             if restores == MAX_LR_HALVINGS:
                 events.append({"event": "divergence_abort", **where, "lr": adam.lr})
-                raise TrainingDivergedError(restores, np.asarray(trace), events)
+                raise TrainingDivergedError(restores, events)
             # halve the rate in use, not the snapshot's, so recurring divergences compound
             adam.restore({**last_good, "lr": 0.5 * adam.lr})
             restores += 1

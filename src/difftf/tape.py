@@ -59,11 +59,9 @@ def _as_value(x):
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         return float(arr)
-    if arr.ndim == 1:
-        return arr[np.newaxis, :, np.newaxis]
     if arr.ndim == 3:
         return arr
-    raise ValueError("tape values must be scalars, 1-D series or (batch, T, channels) arrays")
+    raise ValueError("tape values must be scalars or (batch, T, channels) arrays")
 
 
 class Tape:

@@ -309,6 +309,12 @@ class TestTrain:
             assert run(["train", "--config", cfg_path]) == 1
             assert "iterations" in capsys.readouterr().err
 
+    def test_config_file_that_is_no_json_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{not json")
+        assert run(["gradcheck", "--config", cfg_path]) == 1
+        assert "bad config file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", [5, "abc", [["iterations", 5]], None])
     def test_config_file_that_is_no_object_is_usage_error(self, tmp_path, capsys, doc):
         cfg_path = tmp_path / "cfg.json"
@@ -316,7 +322,7 @@ class TestTrain:
         assert run(["gradcheck", "--config", cfg_path]) == 1
         assert "config file must hold a JSON object" in capsys.readouterr().err
 
-    def test_minibatch_samples_sequences(self, tmp_path):
+    def test_quantized_run_reports_its_iterations(self, tmp_path):
         gen = tmp_path / "gen"
         assert run(["generate", "--kind", "pwh-quantized", "--T", 128,
                     "--realizations", 1, "--seed", 4, "--out", gen]) == 0
@@ -324,7 +330,7 @@ class TestTrain:
         code = run(["train", "--data", gen / "train.csv", "--arch", "pwh",
                     "--n-b", 2, "--n-a", 2, "--hidden", 3, "--loss", "quantized",
                     "--quantizer", gen / "meta.json", "--iterations", 8,
-                    "--lr", "1e-3", "--batch-size", 2, "--out", out])
+                    "--lr", "1e-3", "--out", out])
         assert code == 0
         assert read_json(out / "report.json")["iterations"] == 8
 
@@ -359,23 +365,20 @@ class TestTrain:
                           (out / "events.jsonl").read_bytes(), losses))
         assert files[0] == files[1]
 
-    def test_minibatch_needs_multiple_sequences(self, rng, tmp_path):
-        data = tmp_path / "d.csv"
-        write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
-        code = run(["train", "--data", data, "--arch", "fir", "--fir-taps", 3,
-                    "--loss", "mse", "--iterations", 2, "--batch-size", 1,
-                    "--out", tmp_path / "r"])
-        assert code == 1
-
-    def test_negative_batch_size_is_usage_error(self, tmp_path):
-        gen = tmp_path / "gen"
-        assert run(["generate", "--kind", "pwh-quantized", "--T", 64,
-                    "--realizations", 1, "--seed", 4, "--out", gen]) == 0
-        code = run(["train", "--data", gen / "train.csv", "--arch", "pwh",
-                    "--n-b", 2, "--n-a", 2, "--hidden", 3, "--loss", "quantized",
-                    "--quantizer", gen / "meta.json", "--iterations", 2,
-                    "--batch-size", -1, "--out", tmp_path / "r"])
-        assert code == 1
+    @pytest.mark.parametrize("which", ["data", "test_data"])
+    def test_header_only_dataset_exits_3_before_training(self, rng, tmp_path, capsys,
+                                                         which):
+        full, empty = tmp_path / "d.csv", tmp_path / "empty.csv"
+        write_dataset(full, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
+        empty.write_text("t,u,y\n")
+        files = {"data": full, "test_data": full, which: empty}
+        out = tmp_path / "run"
+        code = run(["train", "--data", files["data"], "--test-data", files["test_data"],
+                    "--arch", "fir", "--fir-taps", 3, "--loss", "mse", "--iterations", 2,
+                    "--out", out])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {empty}: no data rows\n"
+        assert not out.exists()
 
 
 class TestEval:
@@ -502,6 +505,29 @@ class TestEval:
         write_dataset(zdata, rng.normal(0, 1, 32), z=rng.integers(0, 3, 32))
         assert run(["eval", "--model", out / "model.json", "--data", zdata]) == 1
 
+    def test_header_only_eval_data_exits_3(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("seq,t,u,y\n")
+        write_json(tmp_path / "model.json", {"blocks": [tf_block()]})
+        report = tmp_path / "eval.json"
+        assert run(["eval", "--model", tmp_path / "model.json", "--data", empty,
+                    "--report", report]) == 3
+        assert capsys.readouterr().err == f"data error: {empty}: no data rows\n"
+        assert not report.exists()
+
+    def test_bode_of_a_model_without_noise_filter_is_usage_error(self, rng, tmp_path,
+                                                                  capsys):
+        data = tmp_path / "d.csv"
+        write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
+        out = tmp_path / "run"
+        assert run(["train", "--data", data, "--arch", "fir", "--fir-taps", 3,
+                    "--loss", "mse", "--iterations", 1, "--out", out]) == 0
+        bode = tmp_path / "bode.csv"
+        assert run(["eval", "--model", out / "model.json", "--data", data,
+                    "--bode", bode]) == 1
+        assert "model has no noise filter to export" in capsys.readouterr().err
+        assert not bode.exists()
+
 
 class TestGradcheckCommand:
     def test_default_run_passes(self, capsys):
@@ -532,14 +558,27 @@ class TestUsage:
         assert keys == {
             "generate": ["T", "band", "kind", "out", "realizations", "rms_levels", "seed",
                          "sigma_e", "test_T"],
-            "train": ["arch", "batch_size", "data", "fir_taps", "hidden", "init_sigma",
+            "train": ["arch", "data", "fir_taps", "hidden", "init_sigma",
                       "iterations", "log_every", "loss", "lr", "n_a", "n_b", "n_k",
                       "noise_n_a", "noise_n_b", "out", "plateau_patience", "plateau_rtol",
                       "quantizer", "seed", "test_data"],
             "eval": ["bode", "data", "model", "report", "truth"],
             "gradcheck": ["seed"],
         }
-        assert sum(map(len, keys.values())) == 36
+        assert sum(map(len, keys.values())) == 35
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_batch_size_is_rejected(self, rng, tmp_path, capsys, source):
+        data, cfg_path = tmp_path / "d.csv", tmp_path / "cfg.json"
+        write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
+        cfg_path.write_text(json.dumps({"batch_size": 2}))
+        extra = {"flag": ["--batch-size", 2], "config": ["--config", cfg_path]}[source]
+        out = tmp_path / "r"
+        assert run(["train", "--data", data, "--arch", "fir", "--fir-taps", 3,
+                    "--loss", "mse", "--iterations", 2, *extra, "--out", out]) == 1
+        assert ("unrecognized arguments: --batch-size" if source == "flag"
+                else "unknown config keys: ['batch_size']") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_settings(self):
         assert run(["generate"]) == 1

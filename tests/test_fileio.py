@@ -112,6 +112,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="y or z"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("header", ["t,u,y", "seq,t,u,z"])
+    def test_header_only_dataset_detected(self, tmp_path, header):
+        # read_csv takes a header-only file (a zero-iteration trace is one)
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n")
+        assert all(col.size == 0 for col in read_csv(path).values())
+        with pytest.raises(ValueError, match="no data rows"):
+            read_dataset(path)
+
     def test_non_integer_z_detected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,u,z\n0,1.0,0.5\n")

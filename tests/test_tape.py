@@ -51,6 +51,11 @@ class TestForward:
         x = filter_forward(g2.cell(0, 0), x)
         assert np.allclose(out.value[0, :, 0], x, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (1, 4, 1, 1)], ids=["1d", "2d", "4d"])
+    def test_constant_of_another_rank_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"scalars or \(batch, T, channels\)"):
+            Tape().constant(np.ones(shape))
+
     def test_scalar_loss_required_for_backward(self, rng):
         tape = Tape()
         y = MimoTransferFunction.siso(IDENTITY).apply(tape, tape.constant(as3d(np.ones(4))))
