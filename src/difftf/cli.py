@@ -19,7 +19,7 @@ import numpy as np
 
 from . import datagen, fileio, gradcheck
 from .blocks import BlockModel, MimoTransferFunction, ModelFile, Normalization, build_pwh, build_wh
-from .metrics import fit_index, mse_loss_node, rmse
+from .metrics import fit_index, mse_loss_node, require_spread, rmse
 from .optim import TrainConfig, TrainingDivergedError, train
 from .pem import PemModel, bode_magnitude_table, invert_monic_noise_filter
 from .quantized import LoglikDiagnostics, Quantizer, quantized_loglik_node
@@ -262,16 +262,28 @@ def _fit(model_file, u, y):
     return scores
 
 
+def _require_spread(path, y):
+    """require_spread on a dataset's y column, naming the file."""
+    try:
+        require_spread(y)
+    except ValueError as exc:
+        raise ValueError(f"{path}: y column: {exc}") from None
+
+
 def cmd_train(cfg):
     u, out_col, kind = fileio.read_dataset(cfg["data"])
     loss_kind = cfg["loss"]
     need = "z" if loss_kind == "quantized" else "y"
     if kind != need:
         raise UsageError(f"{loss_kind} loss needs a dataset with a {need} column")
+    # the fit index scores y, so a constant y is refused before any training
+    if kind == "y":
+        _require_spread(cfg["data"], out_col)
     if cfg["test_data"]:  # checked before training, so a bad file costs no run
         u_test, y_test, kind_test = fileio.read_dataset(cfg["test_data"])
         if kind_test != "y":
             raise UsageError("test data must contain a y column")
+        _require_spread(cfg["test_data"], y_test)
 
     u3 = u[:, :, np.newaxis]
     y3 = out_col[:, :, np.newaxis] if kind == "y" else None
@@ -368,7 +380,7 @@ def cmd_train(cfg):
         "iterations": int(result.iterations_run),
         "stopped_on_plateau": bool(result.stopped_on_plateau),
         "final_loss": float(result.loss_trace[-1]) if result.loss_trace.size else None,
-        "best_loss": result.best_loss,
+        "best_loss": result.best_loss if result.loss_trace.size else None,
         "divergence_restores": int(result.divergence_restores),
         "skipped_steps": int(result.skipped_steps),
         "best_iteration": int(result.best_iteration),
@@ -401,6 +413,7 @@ def cmd_eval(cfg):
     u, y, kind = fileio.read_dataset(cfg["data"])
     if kind != "y":
         raise UsageError("eval needs a dataset with a real-valued y column")
+    _require_spread(cfg["data"], y)
     unstable = _check_poles(model_file.model)
     if unstable is not None:
         raise _pole_failure(unstable)

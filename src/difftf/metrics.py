@@ -1,5 +1,5 @@
 """Simulation-quality metrics (fit index, RMSE, residual autocorrelation) and
-the mean-squared-error training loss."""
+the squared-error loss node that the mse and PEM losses share."""
 
 from __future__ import annotations
 
@@ -16,10 +16,16 @@ def fit_index(y, y_sim):
     y_sim = np.asarray(y_sim, dtype=float).ravel()
     if y.shape != y_sim.shape:
         raise ValueError("y and y_sim must have the same length")
-    denom = np.linalg.norm(y - y.mean())
-    if denom == 0.0:
+    require_spread(y)
+    return 100.0 * (1.0 - np.linalg.norm(y - y_sim) / np.linalg.norm(y - y.mean()))
+
+
+def require_spread(y):
+    """Raise ValueError unless y holds two different values, which the fit index
+    needs; exact, as ||y - mean(y)|| of a constant y can round to non-zero."""
+    y = np.asarray(y, dtype=float)
+    if y.size == 0 or y.min() == y.max():
         raise ValueError("fit index undefined for a constant reference signal")
-    return 100.0 * (1.0 - np.linalg.norm(y - y_sim) / denom)
 
 
 def rmse(y, y_sim):
@@ -31,20 +37,20 @@ def rmse(y, y_sim):
     return float(np.sqrt(np.mean((y - y_sim) ** 2)))
 
 
-def mse_loss_node(tape, out_node, y):
-    """Tape node for mean((y - M(u))^2) over the model output node M(u).
-
-    Its vjp sends -2 err (g / N) to M(u): the arithmetic of the composed sub,
-    square and mean nodes, in the same order.
-    """
-    err = y - out_node.value
+def squared_error_node(tape, err, parents, op):
+    """Tape node for mean(err^2); it owns err and sends 2 err (g / N) to every parent."""
 
     def vjp(g):
         bar = np.multiply(err, 2.0, out=err)  # err is consumed: a tape is swept once
         bar *= g / bar.size
-        return (-bar,)
+        return (bar,) * len(parents)
 
-    return tape.custom(float(np.mean(err * err)), (out_node,), vjp, op="mse_loss")
+    return tape.custom(float(np.mean(err * err)), parents, vjp, op=op)
+
+
+def mse_loss_node(tape, out_node, y):
+    """Tape node for mean((M(u) - y)^2) over the model output node M(u)."""
+    return squared_error_node(tape, out_node.value - y, (out_node,), "mse_loss")
 
 
 def autocorrelation(x, max_lag):

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 
 from .blocks import MimoTransferFunction
+from .metrics import squared_error_node
 from .tf_core import TransferFunction, frequency_response
 
 
@@ -43,26 +44,15 @@ class PemModel:
         return out
 
     def _error_nodes(self, tape, u, y):
-        """Record d = y - M(u) for (batch, T, 1) arrays, and the noise grid's output Hc(q) d."""
+        """Record r = M(u) - y for (batch, T, 1) arrays, and the noise grid's output Hc(q) r."""
         out = self.model.apply(tape, tape.constant(u))
-        d = tape.custom(y - out.value, (out,), lambda g: (-g,), op="residual")
-        return d, self.noise.apply(tape, d)
+        r = tape.custom(out.value - y, (out,), lambda g: (g,), op="residual")
+        return r, self.noise.apply(tape, r)
 
     def pem_loss_node(self, tape, u, y):
-        """mean(eps^2) as one `pem_loss` node over d and Hc d.
-
-        Its vjp sends 2 eps (g / N) to both parents: the arithmetic of the
-        composed add, square and mean nodes, in the same order.
-        """
-        d, hd = self._error_nodes(tape, u, y)
-        eps = d.value + hd.value
-
-        def vjp(g):
-            bar = np.multiply(eps, 2.0, out=eps)  # eps is consumed: a tape is swept once
-            bar *= g / bar.size
-            return (bar, bar)
-
-        return tape.custom(float(np.mean(eps * eps)), (d, hd), vjp, op="pem_loss")
+        """mean(eps^2) as one `pem_loss` node over r and Hc r, where -eps = r + Hc r."""
+        r, hr = self._error_nodes(tape, u, y)
+        return squared_error_node(tape, r.value + hr.value, (r, hr), "pem_loss")
 
 
 def prediction_error(model, u, y):

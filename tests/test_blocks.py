@@ -683,6 +683,14 @@ class TestSerialization:
                 Mlp(1, 3, 1, rng=rng),
             ])
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: BlockModel([]), "at least one block"),
+        (lambda: ParallelMlp([Mlp(2, 3, 1)]), "one-input-one-output"),
+    ])
+    def test_empty_model_and_multi_input_parallel_net_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
 
 class TestNormalization:
     def test_round_trip(self, rng):

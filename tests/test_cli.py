@@ -21,6 +21,27 @@ def tf_block(**changes):
             "n_k": 0, "b": [[[1.0]]], "a": [[[0.0]]], **changes}
 
 
+def strict_json(path):
+    """The JSON document in path, refusing NaN and Infinity, which RFC 8259 lacks."""
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+# files that train (as --data or --test-data) and eval refuse before any work,
+# each with the reason the error names
+CONSTANT_Y = "y column: fit index undefined for a constant reference signal"
+UNUSABLE_DATA = {
+    "header_only": ("t,u,y\n", "no data rows"),
+    "zero_bytes": ("", "empty file"),
+    "no_u_column": ("t,y\n0,1.0\n1,2.0\n", "missing u column"),
+    # the norm of y - mean(y) is 0 for three 2.0s, but 2.4e-17 for three 0.1s
+    "y_all_2.0": ("t,u,y\n0,1.0,2.0\n1,0.5,2.0\n2,-1.0,2.0\n", CONSTANT_Y),
+    "y_all_0.1": ("t,u,y\n0,1.0,0.1\n1,0.5,0.1\n2,-1.0,0.1\n", CONSTANT_Y),
+}
+
+
 def eval_model(tmp_path, rng, blocks, *extra, T=64):
     """Exit code of eval of a model file with these blocks on T random samples."""
     data = tmp_path / "d.csv"
@@ -82,10 +103,11 @@ class TestTrain:
         code = run(["train", "--data", data, "--arch", "fir", "--fir-taps", 4,
                     "--loss", "mse", "--iterations", 0, "--out", out])
         assert code == 0
-        report = read_json(out / "report.json")
+        report = strict_json(out / "report.json")
         assert report["iterations"] == 0
         assert report["version"] == 2
-        assert (out / "model.json").exists()
+        assert report["best_loss"] is None and report["final_loss"] is None
+        strict_json(out / "model.json")
         assert read_csv(out / "trace.csv").keys() == {"iteration", "loss", "wall_time_s"}
 
     @pytest.mark.parametrize("env, blas_threads", [
@@ -365,19 +387,30 @@ class TestTrain:
                           (out / "events.jsonl").read_bytes(), losses))
         assert files[0] == files[1]
 
-    @pytest.mark.parametrize("which", ["data", "test_data"])
+    @pytest.mark.parametrize("which, case", [
+        pytest.param(which, case, id=which if case == "header_only" else f"{which}-{case}")
+        for case in UNUSABLE_DATA for which in ("data", "test_data")
+    ])
     def test_header_only_dataset_exits_3_before_training(self, rng, tmp_path, capsys,
-                                                         which):
-        full, empty = tmp_path / "d.csv", tmp_path / "empty.csv"
+                                                         monkeypatch, which, case):
+        """It and every other unusable file exit 3 before training, and make no --out."""
+        from difftf import cli
+
+        def no_training(*args):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        full, bad = tmp_path / "d.csv", tmp_path / "bad.csv"
         write_dataset(full, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
-        empty.write_text("t,u,y\n")
-        files = {"data": full, "test_data": full, which: empty}
+        body, reason = UNUSABLE_DATA[case]
+        bad.write_text(body)
+        files = {"data": full, "test_data": full, which: bad}
         out = tmp_path / "run"
         code = run(["train", "--data", files["data"], "--test-data", files["test_data"],
                     "--arch", "fir", "--fir-taps", 3, "--loss", "mse", "--iterations", 2,
                     "--out", out])
         assert code == 3
-        assert capsys.readouterr().err == f"data error: {empty}: no data rows\n"
+        assert capsys.readouterr().err == f"data error: {bad}: {reason}\n"
         assert not out.exists()
 
 
@@ -506,14 +539,16 @@ class TestEval:
         assert run(["eval", "--model", out / "model.json", "--data", zdata]) == 1
 
     def test_header_only_eval_data_exits_3(self, tmp_path, capsys):
+        """It and every other unusable file exit 3 and write no report."""
         empty = tmp_path / "empty.csv"
-        empty.write_text("seq,t,u,y\n")
         write_json(tmp_path / "model.json", {"blocks": [tf_block()]})
         report = tmp_path / "eval.json"
-        assert run(["eval", "--model", tmp_path / "model.json", "--data", empty,
-                    "--report", report]) == 3
-        assert capsys.readouterr().err == f"data error: {empty}: no data rows\n"
-        assert not report.exists()
+        for body, reason in [("seq,t,u,y\n", "no data rows"), *UNUSABLE_DATA.values()]:
+            empty.write_text(body)
+            assert run(["eval", "--model", tmp_path / "model.json", "--data", empty,
+                        "--report", report]) == 3
+            assert capsys.readouterr().err == f"data error: {empty}: {reason}\n"
+            assert not report.exists()
 
     def test_bode_of_a_model_without_noise_filter_is_usage_error(self, rng, tmp_path,
                                                                   capsys):

@@ -87,6 +87,10 @@ class TestWhColored:
         assert np.array_equal(a.y_train, b.y_train)
         assert np.array_equal(a.u_test, b.u_test)
 
+    def test_zero_length_rejected(self):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            generate_wh_colored(0, 0)
+
     def test_different_seeds_differ(self):
         a = generate_wh_colored(3, 200)
         b = generate_wh_colored(4, 200)

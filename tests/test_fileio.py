@@ -14,6 +14,12 @@ class TestCsvRoundTrip:
         assert np.array_equal(cols["u"], u)
         assert np.array_equal(cols["t"], t.astype(float))
 
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="same length"):
+            write_csv(path, ["t", "u"], [np.arange(3), np.zeros(2)])
+        assert not path.exists()
+
     def test_column_writer_bytes_equal_per_cell_formatting(self, rng, tmp_path):
         def format_cell(v):
             if isinstance(v, (np.integer, int)):

@@ -36,6 +36,16 @@ class TestFitIndex:
     def test_constant_reference_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             fit_index(np.ones(10), np.zeros(10))
+        # ||y - mean(y)|| of three 0.1s is 2.4e-17, not 0: the test is exact
+        y = np.full(3, 0.1)
+        assert np.linalg.norm(y - y.mean()) > 0.0
+        with pytest.raises(ValueError, match="constant"):
+            fit_index(y, np.zeros(3))
+
+    @pytest.mark.parametrize("score", [fit_index, rmse])
+    def test_inputs_of_unequal_length_rejected(self, rng, score):
+        with pytest.raises(ValueError, match="same length"):
+            score(rng.normal(0.0, 1.0, 5), np.zeros(4))
 
 
 class TestAutocorrelation:

@@ -222,6 +222,13 @@ class TestTrain:
         r1, r2 = run(), run()
         assert np.array_equal(r1.loss_trace, r2.loss_trace)
 
+    def test_log_every_prints_the_loss_every_nth_iteration(self, capsys):
+        p = Parameter(np.array([3.0]), "p")
+        result = train([p], quadratic_builder(p, [1.0]),
+                       TrainConfig(iterations=5, lr=0.05, log_every=2))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"iter {k}: loss {result.loss_trace[k - 1]:.6g}" for k in (2, 4)]
+
     def test_best_loss_is_trace_minimum(self, rng):
         p = Parameter(np.array([3.0]), "p")
         result = train([p], quadratic_builder(p, [1.0]), TrainConfig(iterations=200, lr=0.05))

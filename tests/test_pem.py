@@ -157,7 +157,7 @@ class TestPemLoss:
         ops = [node.op for node in tape._nodes]
         assert ops.count("mimo_filter") == 3
         assert "filter" not in ops
-        # d = y - M(u) as one residual node, then the noise grid and one loss op
+        # r = M(u) - y as one residual node, then the noise grid and one loss op
         assert ops[-5:] == ["residual", "param", "param", "mimo_filter", "pem_loss"]
         assert ops.count("const") == 1  # u only: y enters through the residual
         assert not {"add", "sub", "square", "mean"} & set(ops)
@@ -197,9 +197,19 @@ class TestPemLoss:
         u = rng.normal(0.0, 1.0, (3, 500, 1))
         y = rng.normal(0.0, 1.0, (3, 500, 1))
         tape = Tape()
-        d, hd = pm._error_nodes(tape, u, y)
-        assert np.array_equal(prediction_error(pm, u, y), d.value + hd.value)
+        r, hr = pm._error_nodes(tape, u, y)
+        assert np.array_equal(prediction_error(pm, u, y), -(r.value + hr.value))
         assert pem_loss(pm, u, y) == pm.pem_loss_node(Tape(), u, y).value
+
+    def test_residual_vjp_passes_its_adjoint_through(self, rng):
+        pm = PemModel(build_wh(n_b=2, n_a=2, hidden=3, rng=rng))
+        u = rng.normal(0.0, 1.0, (2, 20, 1))
+        y = rng.normal(0.0, 1.0, (2, 20, 1))
+        r, _ = pm._error_nodes(Tape(), u, y)
+        g = rng.normal(0.0, 1.0, r.value.shape)
+        (out_bar,) = r.vjp(g)
+        assert out_bar is g
+        assert r.op == "residual"
 
 
 class TestNoiseFilter:
@@ -259,6 +269,11 @@ class TestNoiseFilter:
         )
         assert header == ["frequency", "magnitude_db", "true_magnitude_db"]
         assert table.shape == (10, 3)
+
+    def test_requires_single_output_model(self):
+        two_out = BlockModel([MimoTransferFunction(2, 1, 0, 0, 0)])
+        with pytest.raises(ValueError, match="single-output"):
+            PemModel(two_out)
 
     def test_requires_single_delay(self):
         with pytest.raises(ValueError, match="one input delay"):

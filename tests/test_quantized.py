@@ -92,6 +92,7 @@ class TestQuantize:
         ([[-1.0, 0.0], [0.5, 1.0]], "flat list"),
         ([-1.0, 0.0, np.inf], "finite"),
         ([-1.0, np.nan, 1.0], "finite"),
+        ([-1.0, 1.0], "at least 3 thresholds"),
     ])
     def test_thresholds_must_be_flat_and_finite(self, thresholds, match):
         with pytest.raises(ValueError, match=match):
@@ -372,6 +373,16 @@ class TestKernelBranches:
         node = quantized_loglik_node(tape, tape.constant(y), lo, hi, log_sigma)
         ll = quantized_loglik(y, z, float(np.exp(log_sigma.value)), qz)
         assert node.value == (-1.0 / y.size) * ll
+
+    @pytest.mark.parametrize("short", ["lo", "hi"])
+    def test_node_rejects_bin_edges_of_another_length(self, short):
+        y = np.zeros((1, 4, 1))
+        edges = {"lo": np.full(4, -1.0), "hi": np.full(4, 1.0)}
+        edges[short] = edges[short][:3]
+        tape = Tape()
+        with pytest.raises(ValueError, match="one entry per simulated sample"):
+            quantized_loglik_node(tape, tape.constant(y), edges["lo"], edges["hi"],
+                                  Parameter(0.0))
 
 
 def path_inputs(rng, n, path):

@@ -212,6 +212,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             TransferFunction([1.0], [], -1)
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: TransferFunction([1.0, np.nan], [], 0), "must be finite"),
+        (lambda: TransferFunction([1.0], [np.inf], 0), "must be finite"),
+        (lambda: filter_forward(TransferFunction([1.0], [], 0), np.zeros(0)), "length must be"),
+        (lambda: impulse_response(TransferFunction([1.0], [], 0), 0), "T must be >= 1"),
+    ])
+    def test_non_finite_coefficients_and_empty_series_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_leading_one_not_stored(self):
         tf = TransferFunction([1.0], [-0.5], 0)
         assert tf.n_a == 1
