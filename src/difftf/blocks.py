@@ -464,6 +464,8 @@ class PolyStatic:
     def __init__(self, coeffs):
         self.coeffs = [np.asarray(c, dtype=float) for c in coeffs]
         _check_sizes(self.kind, channels=len(self.coeffs))
+        if not all(np.isfinite(c).all() for c in self.coeffs):
+            raise ValueError("poly coefficients must be finite")
         self.in_channels = len(self.coeffs)
         self.out_channels = len(self.coeffs)
 
@@ -641,6 +643,23 @@ class Normalization:
         return cls(cfg["u_mean"], cfg["u_std"], cfg["y_mean"], cfg["y_std"])
 
 
+def _check_numbers(model, norm, log_sigma_e):
+    """Raise ValueError naming the first model-file entry that holds a non-finite
+    number or, for a normalization std, a number <= 0."""
+    entries = [(name, p.value) for name, p in model.parameters()]
+    if norm is not None:
+        entries += [(f"normalization.{key}", v) for key, v in norm.to_config().items()]
+    if log_sigma_e is not None:
+        entries.append(("log_sigma_e", log_sigma_e))
+    for name, value in entries:
+        value = np.asarray(value, dtype=float)
+        if not np.isfinite(value).all():
+            raise ValueError(f"model file entry {name} holds a non-finite value "
+                             f"({value[~np.isfinite(value)][0]})")
+        if name.endswith("_std") and np.any(value <= 0):  # u_std or y_std
+            raise ValueError(f"model file entry {name} must be > 0, got {np.min(value):.6g}")
+
+
 class ModelFile:
     """On-disk model: block sequence plus optional noise model and scaling."""
 
@@ -665,31 +684,25 @@ class ModelFile:
         doc["normalization"] = (
             self.normalization.to_config() if self.normalization else None
         )
-        if self.noise_filter is not None:
-            doc["noise_filter"] = {
-                "b": self.noise_filter.b.tolist(),
-                "a": self.noise_filter.a.tolist(),
-                "n_k": self.noise_filter.n_k,
-            }
-        else:
-            doc["noise_filter"] = None
+        nf = self.noise_filter
+        doc["noise_filter"] = None if nf is None else {
+            "b": nf.b.tolist(), "a": nf.a.tolist(), "n_k": nf.n_k}
         doc["log_sigma_e"] = self.log_sigma_e
         doc["meta"] = self.meta
         return doc
 
     @classmethod
     def from_dict(cls, doc):
-        """Parse a model document; a missing key or a malformed entry raises ValueError."""
+        """Parse a model document; a missing key, a malformed entry, a non-finite
+        number or a normalization std <= 0 raises ValueError."""
         try:
             model = BlockModel.from_config(doc)
             norm_cfg = doc.get("normalization")
             norm = Normalization.from_config(norm_cfg) if norm_cfg else None
             nf_cfg = doc.get("noise_filter")
-            noise = (
-                TransferFunction(np.asarray(nf_cfg["b"]), np.asarray(nf_cfg["a"]), nf_cfg["n_k"])
-                if nf_cfg
-                else None
-            )
+            noise = TransferFunction(np.asarray(nf_cfg["b"]), np.asarray(nf_cfg["a"]),
+                                     nf_cfg["n_k"]) if nf_cfg else None
+            _check_numbers(model, norm, doc.get("log_sigma_e"))
         except KeyError as exc:
             raise ValueError(f"model file lacks key {exc.args[0]!r}") from None
         except TypeError as exc:

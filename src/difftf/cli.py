@@ -229,9 +229,7 @@ def _check_poles(model):
         for o in range(block.out_channels):
             for i in range(block.in_channels):
                 den = block.cell(o, i).full_denominator()
-                radius = np.inf
-                if np.all(np.isfinite(den)):
-                    radius = np.max(np.abs(np.roots(den)), initial=0.0)
+                radius = np.max(np.abs(np.roots(den)), initial=0.0)
                 if radius >= 1.0:
                     return k, (o, i), float(radius)
     return None
@@ -395,9 +393,9 @@ def cmd_train(cfg):
         report["test_fit_percent"], report["test_rmse"] = _fit(model_file, u_test, y_test)
     fileio.write_json(os.path.join(out, "report.json"), report)
 
+    best = "none" if report["best_loss"] is None else f"{report['best_loss']:.6g}"
     print(f"trained {cfg['arch']} with {loss_kind} loss: "
-          f"{result.iterations_run} iterations, best loss {result.best_loss:.6g}, "
-          f"wall {wall:.1f}s")
+          f"{result.iterations_run} iterations, best loss {best}, wall {wall:.1f}s")
     for key in ("train_fit_percent", "test_fit_percent", "sigma_e"):
         if key in report:
             print(f"{key}: {report[key]:.4g}")

@@ -31,17 +31,16 @@ PWH_RMS_LEVELS = (0.1, 0.325, 0.55, 0.775, 1.0)
 PWH_QUANTIZER = Quantizer.uniform(12, -1.0, 1.0)
 
 
-def h2_norm(params, T=8192):
-    """sqrt(sum g_t^2) from a long impulse response."""
-    return float(np.linalg.norm(impulse_response(params, T)))
+def h2_norm(params):
+    """sqrt(sum g_t^2) from the first 8192 samples of the impulse response."""
+    return float(np.linalg.norm(impulse_response(params, 8192)))
 
 
-def tf_from_zpk(zeros, poles, gain=1.0, n_k=0, normalize_h2=True):
-    """Filter from zero/pole lists; optionally scaled to unit impulse energy."""
+def tf_from_zpk(zeros, poles, gain=1.0, n_k=0):
+    """Filter from zero/pole lists, scaled so that its H2 norm equals gain."""
     b = np.real(np.poly(zeros)) if len(zeros) else np.ones(1)
     a_full = np.real(np.poly(poles)) if len(poles) else np.ones(1)
-    tf = TransferFunction(b=b, a=a_full[1:], n_k=n_k)
-    scale = gain / h2_norm(tf) if normalize_h2 else gain
+    scale = gain / h2_norm(TransferFunction(b=b, a=a_full[1:], n_k=n_k))
     return TransferFunction(b=scale * b, a=a_full[1:], n_k=n_k)
 
 
@@ -61,39 +60,35 @@ def synthetic_wh_truth():
     ])
 
 
-def _set_cell(grid, o, i, tf):
-    """Install a SISO filter in a grid cell, zero-padding b to the grid order."""
-    b = np.zeros(grid.n_b + 1)
-    b[: tf.b.size] = tf.b
-    a = np.zeros(grid.n_a)
-    a[: tf.a.size] = tf.a
-    grid.b.value[o, i] = b
-    grid.a.value[o, i] = a
+def _grid(cells, n_b, n_a):
+    """Filter grid of delay 1 from rows of SISO filters, each cell's
+    coefficients zero-padded to the grid's orders."""
+    b = [[np.pad(tf.b, (0, n_b + 1 - tf.b.size)) for tf in row] for row in cells]
+    a = [[np.pad(tf.a, (0, n_a - tf.a.size)) for tf in row] for row in cells]
+    return MimoTransferFunction(len(cells), len(cells[0]), n_b, n_a, n_k=1, b=b, a=a)
 
 
 def synthetic_pwh_truth():
     """Fixed ground-truth two-branch parallel Wiener-Hammerstein system."""
-    g1 = MimoTransferFunction(2, 1, n_b=2, n_a=2, n_k=1)
-    _set_cell(g1, 0, 0, tf_from_zpk([0.3], _pair(0.85, 0.35), n_k=1))
-    _set_cell(g1, 1, 0, tf_from_zpk([-0.2], _pair(0.8, 1.1), n_k=1))
+    g1 = _grid([[tf_from_zpk([0.3], _pair(0.85, 0.35), n_k=1)],
+                [tf_from_zpk([-0.2], _pair(0.8, 1.1), n_k=1)]], n_b=2, n_a=2)
     nonlin = PolyStatic([
         [0.0, 1.0, 0.08, -0.12],
         [0.0, 0.8, 0.15, -0.1],
     ])
     # output gains put the lowest excitation level inside the two bins
     # around zero while the highest level sweeps most of the +-1 range
-    g2 = MimoTransferFunction(1, 2, n_b=2, n_a=2, n_k=1)
-    _set_cell(g2, 0, 0, tf_from_zpk([0.1], _pair(0.7, 0.5), gain=0.17, n_k=1))
-    _set_cell(g2, 0, 1, tf_from_zpk([-0.3], _pair(0.65, 1.6), gain=0.17, n_k=1))
+    g2 = _grid([[tf_from_zpk([0.1], _pair(0.7, 0.5), gain=0.17, n_k=1),
+                 tf_from_zpk([-0.3], _pair(0.65, 1.6), gain=0.17, n_k=1)]], n_b=2, n_a=2)
     return BlockModel([g1, nonlin, g2])
 
 
-def colored_noise(rng, T, shaping=H_O_TRUE, target_std=COLORED_NOISE_STD):
-    """White Gaussian noise shaped by the given filter, calibrated via its
-    impulse energy so the output standard deviation equals target_std."""
-    sigma_e = target_std / h2_norm(shaping)
+def colored_noise(rng, T, target_std=COLORED_NOISE_STD):
+    """White Gaussian noise shaped by H_O_TRUE, calibrated via its impulse
+    energy so the output standard deviation equals target_std."""
+    sigma_e = target_std / h2_norm(H_O_TRUE)
     e = rng.normal(0.0, sigma_e, T)
-    return filter_forward(shaping, e), sigma_e
+    return filter_forward(H_O_TRUE, e), sigma_e
 
 
 def multisine(rng, T, rms, band=0.3):
@@ -122,7 +117,6 @@ class WhColoredDataset:
     y_test: np.ndarray           # (test_T,) noiseless
     truth: ModelFile
     sigma_e: float
-    seed: int
 
 
 def generate_wh_colored(seed, T, test_T=None):
@@ -158,7 +152,6 @@ def generate_wh_colored(seed, T, test_T=None):
         y_test=y_test,
         truth=truth,
         sigma_e=sigma_e,
-        seed=int(seed),
     )
 
 
@@ -173,23 +166,16 @@ class PwhQuantizedDataset:
     quantizer: Quantizer
     truth: ModelFile
     sigma_e: float
-    seed: int
 
 
-def generate_pwh_quantized(
-    seed,
-    T=4096,
-    rms_levels=PWH_RMS_LEVELS,
-    realizations=4,
-    band=0.3,
-    sigma_e=0.03,
-    test_realizations=2,
-):
+def generate_pwh_quantized(seed, T=4096, rms_levels=PWH_RMS_LEVELS, realizations=4,
+                           band=0.3, sigma_e=0.03):
     """Parallel WH data observed through the 12-bin quantizer.
 
     One multisine row per (rms level, realization); low rms levels excite only
     the two bins around zero. Observations are z = Q(y + e) with white
-    Gaussian e of standard deviation sigma_e.
+    Gaussian e of standard deviation sigma_e. The test set has two
+    realizations per rms level.
     """
     if min(rms_levels) <= 0:
         raise ValueError("rms levels must be positive")
@@ -208,7 +194,7 @@ def generate_pwh_quantized(
     u, rms_of_row = rows(realizations)
     y_latent = system.simulate(u[:, :, np.newaxis])[:, :, 0]
     z = quantize(y_latent + rng.normal(0.0, sigma_e, y_latent.shape), qz)
-    u_test, _ = rows(test_realizations)
+    u_test, _ = rows(2)
     y_test = system.simulate(u_test[:, :, np.newaxis])[:, :, 0]
     truth = ModelFile(
         system,
@@ -236,5 +222,4 @@ def generate_pwh_quantized(
         quantizer=qz,
         truth=truth,
         sigma_e=float(sigma_e),
-        seed=int(seed),
     )

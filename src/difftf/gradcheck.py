@@ -16,10 +16,10 @@ from .tf_core import random_stable_tf
 GRAD_TOL = 1e-5
 
 
-def central_difference(f, theta, h_scale=1e-5):
+def central_difference(f, theta):
     """Central finite differences of a scalar function, elementwise.
 
-    The step is h_scale * max(1, |theta_i|) per coordinate, on the
+    The step is 1e-5 * max(1, |theta_i|) per coordinate, on the
     fourth-order central stencil. The higher-order stencil keeps truncation
     negligible at this step size, and the step keeps roundoff (eps * |loss| /
     h) resolvable against a 1e-5 tolerance even for stiff filter losses; a
@@ -34,7 +34,7 @@ def central_difference(f, theta, h_scale=1e-5):
         return f(vec.reshape(theta.shape))
 
     for i in range(flat.size):
-        h = h_scale * max(1.0, abs(flat[i]))
+        h = 1e-5 * max(1.0, abs(flat[i]))
         probes = []
         for step in (2 * h, h, -h, -2 * h):
             v = flat.copy()
@@ -127,16 +127,16 @@ def mse_loss_on(model, u, y):
     return lambda tape: mse_loss_node(tape, model.apply(tape, tape.constant(u)), y)
 
 
-def check_filter_gradients(rng, n_cases=20, lengths=(8, 32, 128)):
-    """FD check of the three filter gradients on random stable cases.
+def check_filter_gradients(rng):
+    """FD check of the three filter gradients on 20 random stable cases.
 
     Pole radius is capped at 0.9: high-order filters with all poles pushed
     against the unit circle amplify the loss by ~1e4, which leaves finite
-    differences at step 1e-6 too roundoff-limited to resolve the tolerance.
+    differences at step 1e-5 too roundoff-limited to resolve the tolerance.
     """
     worst = np.zeros(3)
-    for _ in range(n_cases):
-        T = int(rng.choice(lengths))
+    for _ in range(20):
+        T = int(rng.choice((8, 32, 128)))
         n_b = int(rng.integers(0, min(8, T - 1) + 1))
         n_a = int(rng.integers(0, min(8, T - 1) + 1))
         n_k = int(rng.integers(0, 3))
@@ -148,39 +148,38 @@ def check_filter_gradients(rng, n_cases=20, lengths=(8, 32, 128)):
     return [CheckRow(f"filter.grad_{x}", float(e), GRAD_TOL) for x, e in zip("bau", worst)]
 
 
-def check_model_gradients(rng, builders=("wh", "pwh"), T=64):
-    """FD check over every trainable scalar of freshly initialized models.
+def check_model_gradients(rng):
+    """FD check over every trainable scalar of freshly initialized WH and PWH models.
 
-    Three rows, so that the filter backward is checked across row boundaries.
+    Three rows of 64 samples, so that the filter backward is checked across rows.
     """
     rows = []
-    for kind in builders:
-        build = build_wh if kind == "wh" else build_pwh
+    for kind, build in (("wh", build_wh), ("pwh", build_pwh)):
         model = build(n_b=3, n_a=3, hidden=4, rng=rng)
-        u = rng.normal(0.0, 1.0, (3, T, model.in_channels))
-        y = rng.normal(0.0, 1.0, (3, T, model.out_channels))
+        u = rng.normal(0.0, 1.0, (3, 64, model.in_channels))
+        y = rng.normal(0.0, 1.0, (3, 64, model.out_channels))
         errs = parameter_errors([p for _, p in model.parameters()], mse_loss_on(model, u, y))
         rows.append(CheckRow(f"model.{kind}", max(errs), GRAD_TOL))
     return rows
 
 
-def check_pem_gradients(rng, T=64):
-    """FD check of the prediction-error loss w.r.t. every model and noise-block scalar."""
+def check_pem_gradients(rng):
+    """FD check of the 64-sample prediction-error loss w.r.t. every model and noise scalar."""
     model = build_wh(n_b=2, n_a=2, hidden=3, rng=rng)
     pm = PemModel(model, noise_n_b=2, noise_n_a=2)
     pm.noise_b.value = rng.normal(0.0, 0.1, pm.noise_b.value.shape)
     pm.noise_a.value = rng.normal(0.0, 0.1, pm.noise_a.value.shape)
-    u = rng.normal(0.0, 1.0, (1, T, 1))
-    y = rng.normal(0.0, 1.0, (1, T, 1))
+    u = rng.normal(0.0, 1.0, (1, 64, 1))
+    y = rng.normal(0.0, 1.0, (1, 64, 1))
     errs = parameter_errors([p for _, p in pm.parameters()],
                             lambda tape: pm.pem_loss_node(tape, u, y))
     return [CheckRow("pem.loss", max(errs), GRAD_TOL)]
 
 
-def check_quantized_gradients(rng, T=256):
-    """FD check of the quantized training loss -ll / N w.r.t. y_sim and log sigma."""
+def check_quantized_gradients(rng):
+    """FD check of the 256-sample quantized loss -ll / N w.r.t. y_sim and log sigma."""
     qz = Quantizer.uniform(12, -1.0, 1.0)
-    y_sim = Parameter(rng.uniform(-0.9, 0.9, (1, T, 1)), "y_sim")
+    y_sim = Parameter(rng.uniform(-0.9, 0.9, (1, 256, 1)), "y_sim")
     z = quantize(y_sim.value + rng.normal(0.0, 0.1, y_sim.value.shape), qz)
     lo, hi = qz.bin_edges(z)
     log_sigma = Parameter(np.log(0.1), "log_sigma")

@@ -11,6 +11,8 @@ from .tf_core import FilterDivergenceError
 
 # divergence restores, each halving the learning rate, before training gives up
 MAX_LR_HALVINGS = 5
+# Adam's decay rates of the first and second moment estimates
+BETA1, BETA2 = 0.9, 0.999
 
 
 class TrainingDivergedError(RuntimeError):
@@ -38,12 +40,11 @@ class Adam:
     moment accumulators.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3, eps=1e-8):
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("a Parameter is listed more than once")
-        self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
+        self.lr, self.eps = float(lr), float(eps)
         self.t = 0
         self.theta = _flat([p.value for p in self.params])
         ends = np.cumsum([p.value.size for p in self.params], dtype=int)
@@ -59,12 +60,12 @@ class Adam:
             self.skipped_steps += 1
             return False
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * g
+        self.v *= BETA2
+        self.v += (1.0 - BETA2) * g * g
         self.theta -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
         return True
 

@@ -567,6 +567,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match=">= 1, got 0"):
             make()
 
+    def test_poly_rejects_non_finite_coefficients(self):
+        with pytest.raises(ValueError, match="poly coefficients must be finite"):
+            PolyStatic([[0.0, 1.0], [0.0, np.inf]])
+
 
 class TestBuilders:
     def test_wh_structure(self, rng):

@@ -96,13 +96,14 @@ class TestGenerate:
 
 
 class TestTrain:
-    def test_zero_iterations_echoes_initialization(self, rng, tmp_path):
+    def test_zero_iterations_echoes_initialization(self, rng, tmp_path, capsys):
         data = tmp_path / "d.csv"
         write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
         out = tmp_path / "run"
         code = run(["train", "--data", data, "--arch", "fir", "--fir-taps", 4,
                     "--loss", "mse", "--iterations", 0, "--out", out])
         assert code == 0
+        assert "nan" not in capsys.readouterr().out
         report = strict_json(out / "report.json")
         assert report["iterations"] == 0
         assert report["version"] == 2
@@ -469,6 +470,34 @@ class TestEval:
         assert run(["eval", "--model", out / "model.json", "--data", data]) == 2
         err = capsys.readouterr().err
         assert "numeric failure" in err and "t=" in err and "batch element 0" in err
+
+    @pytest.mark.parametrize("path, value, reason", [
+        (("blocks", 1, "w1", 0, 0), float("nan"), "block1.w1 holds a non-finite value (nan)"),
+        (("normalization", "u_std", 0), float("nan"),
+         "normalization.u_std holds a non-finite value (nan)"),
+        (("log_sigma_e",), float("inf"), "log_sigma_e holds a non-finite value (inf)"),
+        (("normalization", "u_std", 0), 0.0, "normalization.u_std must be > 0, got 0"),
+    ], ids=["w1_nan", "u_std_nan", "log_sigma_e_inf", "u_std_zero"])
+    def test_model_file_with_unusable_number_is_data_error(
+            self, rng, tmp_path, capsys, path, value, reason):
+        data = tmp_path / "d.csv"
+        write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
+        out = tmp_path / "run"
+        assert run(["train", "--data", data, "--arch", "wh", "--n-b", 2, "--n-a", 2,
+                    "--hidden", 3, "--loss", "mse", "--iterations", 0, "--out", out]) == 0
+        doc = read_json(out / "model.json")
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        # json.dumps writes nan as NaN, which json.load reads back
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["eval", "--model", out / "model.json", "--data", data]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: model file entry {reason}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("doc, named", [
         ({"version": 1}, "'blocks'"),

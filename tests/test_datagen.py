@@ -198,3 +198,16 @@ class TestTruthSystems:
         truth = synthetic_wh_truth()
         g = impulse_response(truth.blocks[0].cell(0, 0), 4096)
         assert np.linalg.norm(g) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_generators_use_no_unseeded_randomness(monkeypatch):
+    seeded = np.random.default_rng
+
+    def default_rng(seed=None):
+        if seed is None:
+            raise AssertionError("np.random.default_rng called without a seed")
+        return seeded(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    generate_wh_colored(1, 64, test_T=32)
+    generate_pwh_quantized(3, T=64, realizations=1)
