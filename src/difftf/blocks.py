@@ -17,15 +17,14 @@ the serial path.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 
+from . import fileio, tf_grad
 from .tape import Parameter
-from . import tf_grad
 from .tf_core import FilterDivergenceError, TransferFunction, filter_rows
 
 
@@ -137,7 +136,21 @@ def _in_cell(o, i, fn, *args):
         raise FilterDivergenceError(exc.t_index, exc.batch_index, (o, i)) from None
 
 
-class MimoTransferFunction:
+class Block:
+    """A model block: forward(x, x_grad) gives the output y of a (batch, T,
+    in_channels) array x and y's vjp, whose adjoints are those of parameters()
+    in order, then x's (None unless x_grad). A subclass names its tape `op` and
+    defines simulate, forward(x, False)[0], itself: perfbench/tracing.py times
+    simulate as it finds it in each class's own __dict__."""
+
+    def apply(self, tape, x_node):
+        """One leaf per parameter, then the block as one node on them and x."""
+        leaves = [tape.leaf(p) for _, p in self.parameters()]
+        y, vjp = self.forward(x_node.value, x_node.requires_grad)
+        return tape.custom(y, (*leaves, x_node), vjp, op=self.op)
+
+
+class MimoTransferFunction(Block):
     """Grid of SISO filters, shape (out_channels, in_channels), shared orders.
 
     Output channel o is sum_i G_oi(q) u_i. The grid is stored as two trainable
@@ -145,6 +158,7 @@ class MimoTransferFunction:
     """
 
     kind = "tf"
+    op = "mimo_filter"
 
     def __init__(self, out_channels, in_channels, n_b, n_a, n_k, rng=None, b=None, a=None):
         self.out_channels = int(out_channels)
@@ -181,9 +195,8 @@ class MimoTransferFunction:
     def parameters(self):
         return [("b", self.b), ("a", self.a)]
 
-    def _forward(self, x):
-        """The (o, i) pairs in output-major order, the cells and their outputs
-        in that order, and the (batch, T, out_channels) output for x."""
+    def forward(self, x, x_grad):
+        """Output and vjp; the backward runs one reverse all-pole pass per cell."""
         _check_width(self.in_channels, x)
         pairs = [(o, i) for o in range(self.out_channels) for i in range(self.in_channels)]
         cells = [self.cell(o, i) for o, i in pairs]
@@ -191,26 +204,15 @@ class MimoTransferFunction:
                 for (o, i), cell in zip(pairs, cells)]
         cell_y = run_branches(jobs, x.shape[0] * x.shape[1])
         if len(pairs) == 1:
-            return pairs, cells, cell_y, cell_y[0][:, :, np.newaxis]
-        # each channel is written from its first cell, not added into zeros
-        y = np.empty((x.shape[0], x.shape[1], self.out_channels))
-        for (o, i), y_oi in zip(pairs, cell_y):
-            if i == 0:
-                y[:, :, o] = y_oi
-            else:
-                y[:, :, o] += y_oi
-        return pairs, cells, cell_y, y
-
-    def simulate(self, x):
-        """Plain forward on a (batch, T, in_channels) array."""
-        return self._forward(x)[3]
-
-    def apply(self, tape, x_node):
-        """Record one MIMO node; backward runs one reverse all-pole pass per cell."""
-        b_node = tape.leaf(self.b)
-        a_node = tape.leaf(self.a)
-        x = x_node.value
-        pairs, cells, cell_y, y = self._forward(x)
+            y = cell_y[0][:, :, np.newaxis]
+        else:
+            # each channel is written from its first cell, not added into zeros
+            y = np.empty((x.shape[0], x.shape[1], self.out_channels))
+            for (o, i), y_oi in zip(pairs, cell_y):
+                if i == 0:
+                    y[:, :, o] = y_oi
+                else:
+                    y[:, :, o] += y_oi
 
         def vjp(g):
             # every cell writes its own b and a slice and returns its share of
@@ -229,7 +231,7 @@ class MimoTransferFunction:
                 b_bar[o, i] = tf_grad.grad_b_rows(w, x_gap[i], self.n_b, self.n_k)
                 if self.n_a > 0:
                     a_bar[o, i] = tf_grad.grad_a_rows(w, tf_grad.gapped(y_oi, pad), self.n_a)
-                if x_node.requires_grad:
+                if x_grad:
                     return tf_grad.ungapped(tf_grad.grad_x_rows(cell, w), batch, pad)
                 return None
 
@@ -237,7 +239,7 @@ class MimoTransferFunction:
                     for (o, i), cell, y_oi in zip(pairs, cells, cell_y)]
             x_bar_cells = run_branches(jobs, batch * x.shape[1])
             x_bar = None
-            if x_node.requires_grad:
+            if x_grad:
                 x_bar = np.empty_like(x)
                 for (o, i), x_bar_oi in zip(pairs, x_bar_cells):
                     if o == 0:
@@ -246,7 +248,10 @@ class MimoTransferFunction:
                         x_bar[:, :, i] += x_bar_oi
             return (b_bar, a_bar, x_bar)
 
-        return tape.custom(y, (b_node, a_node, x_node), vjp, op="mimo_filter")
+        return y, vjp
+
+    def simulate(self, x):
+        return self.forward(x, False)[0]
 
     def to_config(self):
         return {
@@ -279,18 +284,19 @@ def _time_major(a, batch, T):
     return np.stack(tuple(a.reshape(-1, batch * T)), axis=1).reshape(batch, T, -1)
 
 
-def _nets_forward(nets, x):
-    """Independent tanh nets of one in, hidden and out width on a (batch, T, G*I) series.
+def _nets_forward(nets, x, x_grad):
+    """Output and vjp of independent tanh nets of one in, hidden and out width
+    on a (batch, T, G*I) series; the vjp returns every net's adjoints in net order.
 
     Net k reads input channels [k*I, (k+1)*I) and writes output channels
-    [k*O, (k+1)*O). Returns the (batch, T, G*O) output, the input as (G, I, N)
-    and the hidden activations as one contiguous (G, H, N) array, N = batch*T,
-    so that per-unit broadcasts and reductions run along rows. Each net is one
-    run_branches job writing its own [k] slices of the hidden and output arrays.
+    [k*O, (k+1)*O). The input is kept as (G, I, N) and the hidden activations
+    as one contiguous (G, H, N) array, N = batch*T, so that per-unit
+    broadcasts and reductions run along rows. Each net is one run_branches
+    job, in the forward and in the vjp, writing its own [k] slices.
     """
-    G, net = len(nets), nets[0]
-    _check_width(G * net.in_channels, x)
-    xT = _feature_major(x, G, net.in_channels)
+    G, net, I = len(nets), nets[0], nets[0].in_channels
+    _check_width(G * I, x)
+    xT = _feature_major(x, G, I)
     # one hidden and one output array for all nets: a hidden array per net made
     # a PWH training step at 20 x 4096 about 25 % slower, and not only in the
     # nets: the forward of the filter grids and the likelihood slowed too (the
@@ -299,33 +305,26 @@ def _nets_forward(nets, x):
     yT = np.empty((G, net.out_channels, xT.shape[2]))
     jobs = [partial(n._forward_into, xT[k], hid[k], yT[k]) for k, n in enumerate(nets)]
     run_branches(jobs, xT.shape[2])
-    return _time_major(yT, x.shape[0], x.shape[1]), xT, hid
-
-
-def _apply_static_nets(tape, nets, x_node):
-    """Record independent nets as one `mlp` node whose vjp runs one job per net."""
-    leaves = [tape.leaf(p) for net in nets for _, p in net.parameters()]
-    y, xT, hid = _nets_forward(nets, x_node.value)
 
     def vjp(g):
-        G, I = len(nets), nets[0].in_channels
-        gT = _feature_major(g, G, nets[0].out_channels)
+        gT = _feature_major(g, G, net.out_channels)
         x_bar, x_barT = None, [None] * G
-        if x_node.requires_grad:
-            x_bar = np.empty(x_node.value.shape)
+        if x_grad:
+            x_bar = np.empty(x.shape)
             x_barT = x_bar.reshape(-1, G * I).T.reshape(G, I, -1)  # a view: written in place
-        jobs = [partial(net._vjp_into, xT[k], hid[k], gT[k], x_barT[k])
-                for k, net in enumerate(nets)]
+        jobs = [partial(n._vjp_into, xT[k], hid[k], gT[k], x_barT[k])
+                for k, n in enumerate(nets)]
         bars = run_branches(jobs, xT.shape[2])
         return (*(bar for net_bars in bars for bar in net_bars), x_bar)
 
-    return tape.custom(y, (*leaves, x_node), vjp, op="mlp")
+    return _time_major(yT, x.shape[0], x.shape[1]), vjp
 
 
-class Mlp:
+class Mlp(Block):
     """Static one-hidden-layer tanh network: y_t = W2 tanh(W1 x_t + c1) + c2."""
 
     kind = "mlp"
+    op = "mlp"
 
     def __init__(self, in_width, hidden, out_width, rng=None, weights=None):
         self.in_channels = int(in_width)
@@ -354,8 +353,11 @@ class Mlp:
     def parameters(self):
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
+    def forward(self, x, x_grad):
+        return _nets_forward([self], x, x_grad)
+
     def simulate(self, x):
-        return _nets_forward([self], x)[0]
+        return self.forward(x, False)[0]
 
     def _forward_into(self, xT, hid, yT):
         """Write the (H, N) hidden activations and the (O, N) output for the (I, N) input."""
@@ -392,9 +394,6 @@ class Mlp:
             np.einsum("on,oin->in", gT, np.matmul(w2w1, damp).reshape(O, I, -1), out=x_barT)
         return w1_bar, b1_bar, w2_bar, np.sum(gT, axis=1)
 
-    def apply(self, tape, x_node):
-        return _apply_static_nets(tape, [self], x_node)
-
     def to_config(self):
         return {
             "kind": self.kind,
@@ -415,10 +414,11 @@ class Mlp:
         )
 
 
-class ParallelMlp:
+class ParallelMlp(Block):
     """Independent SISO networks, one per channel (no cross-channel mixing)."""
 
     kind = "parallel_mlp"
+    op = "mlp"
 
     def __init__(self, nets):
         self.nets = list(nets)
@@ -433,16 +433,14 @@ class ParallelMlp:
         self.out_channels = len(self.nets)
 
     def parameters(self):
-        out = []
-        for k, net in enumerate(self.nets):
-            out.extend((f"net{k}.{name}", p) for name, p in net.parameters())
-        return out
+        return [(f"net{k}.{name}", p)
+                for k, net in enumerate(self.nets) for name, p in net.parameters()]
+
+    def forward(self, x, x_grad):
+        return _nets_forward(self.nets, x, x_grad)
 
     def simulate(self, x):
-        return _nets_forward(self.nets, x)[0]
-
-    def apply(self, tape, x_node):
-        return _apply_static_nets(tape, self.nets, x_node)
+        return self.forward(x, False)[0]
 
     def to_config(self):
         return {"kind": self.kind, "nets": [net.to_config() for net in self.nets]}
@@ -452,7 +450,7 @@ class ParallelMlp:
         return cls([Mlp.from_config(c) for c in cfg["nets"]])
 
 
-class PolyStatic:
+class PolyStatic(Block):
     """Fixed per-channel polynomial nonlinearity (ascending coefficients).
 
     Not trainable; used for synthetic ground-truth systems where an exactly
@@ -460,6 +458,7 @@ class PolyStatic:
     """
 
     kind = "poly"
+    op = "poly"
 
     def __init__(self, coeffs):
         self.coeffs = [np.asarray(c, dtype=float) for c in coeffs]
@@ -472,29 +471,24 @@ class PolyStatic:
     def parameters(self):
         return []
 
-    def _eval(self, x):
+    def forward(self, x, x_grad):
         _check_width(self.in_channels, x)
-        cols = [
-            np.polynomial.polynomial.polyval(x[:, :, k], c)
-            for k, c in enumerate(self.coeffs)
-        ]
-        return np.stack(cols, axis=2)
-
-    def simulate(self, x):
-        return self._eval(x)
-
-    def apply(self, tape, x_node):
-        x = x_node.value
-        y = self._eval(x)
+        y = np.stack([np.polynomial.polynomial.polyval(x[:, :, k], c)
+                      for k, c in enumerate(self.coeffs)], axis=2)
 
         def vjp(g):
+            if not x_grad:
+                return (None,)
             slope = np.empty_like(x)
             for k, c in enumerate(self.coeffs):
                 dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
                 slope[:, :, k] = np.polynomial.polynomial.polyval(x[:, :, k], dc)
             return (g * slope,)
 
-        return tape.custom(y, (x_node,), vjp, op="poly")
+        return y, vjp
+
+    def simulate(self, x):
+        return self.forward(x, False)[0]
 
     def to_config(self):
         return {"kind": self.kind, "coeffs": [c.tolist() for c in self.coeffs]}
@@ -532,22 +526,16 @@ class BlockModel:
         return self.blocks[-1].out_channels
 
     def parameters(self):
-        out = []
-        for k, block in enumerate(self.blocks):
-            out.extend((f"block{k}.{name}", p) for name, p in block.parameters())
-        return out
+        return [(f"block{k}.{name}", p)
+                for k, block in enumerate(self.blocks) for name, p in block.parameters()]
 
-    def simulate(self, u):
+    def simulate(self, x):
         """Plain forward on a (batch, T, in_channels) array, no gradients."""
-        x = np.asarray(u, dtype=float)
-        if x.ndim == 1:
-            x = x[np.newaxis, :, np.newaxis]
         for block in self.blocks:
             x = block.simulate(x)
         return x
 
-    def apply(self, tape, u_node):
-        x = u_node
+    def apply(self, tape, x):
         for block in self.blocks:
             x = block.apply(tape, x)
         return x
@@ -631,12 +619,7 @@ class Normalization:
         return y * self.y_std + self.y_mean
 
     def to_config(self):
-        return {
-            "u_mean": self.u_mean.tolist(),
-            "u_std": self.u_std.tolist(),
-            "y_mean": self.y_mean.tolist(),
-            "y_std": self.y_std.tolist(),
-        }
+        return {key: getattr(self, key).tolist() for key in ("u_mean", "u_std", "y_mean", "y_std")}
 
     @classmethod
     def from_config(cls, cfg):
@@ -645,19 +628,31 @@ class Normalization:
 
 def _check_numbers(model, norm, log_sigma_e):
     """Raise ValueError naming the first model-file entry that holds a non-finite
-    number or, for a normalization std, a number <= 0."""
+    number or, for a normalization std, a number below the smallest normal
+    float; then the first normalization entry not as wide as the model's input
+    (u_mean, u_std) or output (y_mean, y_std)."""
+    norm_cfg = {} if norm is None else norm.to_config()
     entries = [(name, p.value) for name, p in model.parameters()]
-    if norm is not None:
-        entries += [(f"normalization.{key}", v) for key, v in norm.to_config().items()]
+    entries += [(f"normalization.{key}", v) for key, v in norm_cfg.items()]
     if log_sigma_e is not None:
         entries.append(("log_sigma_e", log_sigma_e))
+    tiny = np.finfo(float).tiny
     for name, value in entries:
         value = np.asarray(value, dtype=float)
         if not np.isfinite(value).all():
             raise ValueError(f"model file entry {name} holds a non-finite value "
                              f"({value[~np.isfinite(value)][0]})")
-        if name.endswith("_std") and np.any(value <= 0):  # u_std or y_std
-            raise ValueError(f"model file entry {name} must be > 0, got {np.min(value):.6g}")
+        if name.endswith("_std") and np.any(value < tiny):  # u_std or y_std
+            # dividing by a subnormal std overflows
+            low = np.min(value)
+            bound = "> 0" if low <= 0 else f">= {tiny:.6g}, the smallest normal float"
+            raise ValueError(f"model file entry {name} must be {bound}, got {low:.6g}")
+    for key, value in norm_cfg.items():
+        side, width = ("input", model.in_channels) if key[0] == "u" else (
+            "output", model.out_channels)
+        if np.shape(value) != (width,):
+            raise ValueError(f"model file entry normalization.{key} has shape "
+                             f"{np.shape(value)}, not the model's {side} width ({width},)")
 
 
 class ModelFile:
@@ -693,8 +688,8 @@ class ModelFile:
 
     @classmethod
     def from_dict(cls, doc):
-        """Parse a model document; a missing key, a malformed entry, a non-finite
-        number or a normalization std <= 0 raises ValueError."""
+        """Parse a model document; a missing key, a malformed entry or an entry
+        that _check_numbers refuses raises ValueError."""
         try:
             model = BlockModel.from_config(doc)
             norm_cfg = doc.get("normalization")
@@ -710,10 +705,8 @@ class ModelFile:
         return cls(model, norm, noise, doc.get("log_sigma_e"), doc.get("meta"))
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+        fileio.write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(fileio.read_json(path))

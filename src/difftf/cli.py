@@ -77,7 +77,6 @@ _TRAIN_KEYS = {
     "out": (str, None, None),
     "n_b": (int, 0, _at_least(0)),  # 0: the architecture's default order
     "n_a": (int, 0, _at_least(0)),  # 0: the architecture's default order
-    "n_k": (int, 0, _at_least(0)),  # only --arch fir reads it
     "hidden": (int, 10, _at_least(1)),
     "fir_taps": (int, 20, _at_least(1)),
     "noise_n_b": (int, 2, _at_least(0)),
@@ -115,8 +114,7 @@ def _resolve_config(args, keys):
     values = {name: default for name, (_t, default, _d) in keys.items()}
     if args.config:
         try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
+            doc = fileio.read_json(args.config)
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad config file: {exc}")
         if not isinstance(doc, dict):
@@ -198,7 +196,7 @@ def _build_model(cfg, rng):
         return build_wh(n_b or 8, n_a or 8, hidden, rng)
     if arch == "pwh":
         return build_pwh(n_b or 12, n_a or 12, hidden, rng)
-    return BlockModel([MimoTransferFunction(1, 1, cfg["fir_taps"] - 1, 0, cfg["n_k"], rng=rng)])
+    return BlockModel([MimoTransferFunction(1, 1, cfg["fir_taps"] - 1, 0, 0, rng=rng)])
 
 
 def _bin_edges(cfg, z):
@@ -260,6 +258,14 @@ def _fit(model_file, u, y):
     return scores
 
 
+def _check_normalizes(norm, path, u):
+    """Raise ValueError naming the file when norm overflows on its (batch, T) input u."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(norm.normalize_u(u[:, :, np.newaxis])).all()
+    if not finite:
+        raise ValueError(f"{path}: u column overflows the model's input normalization")
+
+
 def _require_spread(path, y):
     """require_spread on a dataset's y column, naming the file."""
     try:
@@ -277,15 +283,16 @@ def cmd_train(cfg):
     # the fit index scores y, so a constant y is refused before any training
     if kind == "y":
         _require_spread(cfg["data"], out_col)
+    u3 = u[:, :, np.newaxis]
+    y3 = out_col[:, :, np.newaxis] if kind == "y" else None
+    norm = Normalization.from_data(u3, y3)
     if cfg["test_data"]:  # checked before training, so a bad file costs no run
         u_test, y_test, kind_test = fileio.read_dataset(cfg["test_data"])
         if kind_test != "y":
             raise UsageError("test data must contain a y column")
         _require_spread(cfg["test_data"], y_test)
+        _check_normalizes(norm, cfg["test_data"], u_test)
 
-    u3 = u[:, :, np.newaxis]
-    y3 = out_col[:, :, np.newaxis] if kind == "y" else None
-    norm = Normalization.from_data(u3, y3)
     u_n = norm.normalize_u(u3)
     y_n = norm.normalize_y(y3) if y3 is not None else None
     model = _build_model(cfg, np.random.default_rng(cfg["seed"]))
@@ -415,6 +422,8 @@ def cmd_eval(cfg):
     unstable = _check_poles(model_file.model)
     if unstable is not None:
         raise _pole_failure(unstable)
+    if model_file.normalization is not None:
+        _check_normalizes(model_file.normalization, cfg["data"], u)
     fit, err = _fit(model_file, u, y)
     print(f"fit: {fit:.4f} %")
     print(f"rmse: {err:.6g}")

@@ -127,10 +127,10 @@ def generate_wh_colored(seed, T, test_T=None):
     rng = np.random.default_rng(seed)
     system = synthetic_wh_truth()
     u_train = rng.normal(0.0, 1.0, T)
-    y_clean = system.simulate(u_train)[0, :, 0]
+    y_clean = system.simulate(u_train[np.newaxis, :, np.newaxis])[0, :, 0]
     v, sigma_e = colored_noise(rng, T)
     u_test = rng.normal(0.0, 1.0, test_T)
-    y_test = system.simulate(u_test)[0, :, 0]
+    y_test = system.simulate(u_test[np.newaxis, :, np.newaxis])[0, :, 0]
     truth = ModelFile(
         system,
         noise_filter=H_O_TRUE,

@@ -109,7 +109,7 @@ def read_dataset(path):
     u = cols["u"]
     if "seq" in cols:
         seq = cols["seq"].astype(np.int64)
-        if np.any(seq != cols["seq"]):
+        if np.any(seq != cols["seq"]) or seq.min() != 0:
             raise ValueError(f"{path}: malformed seq column")
         n_seq = seq.max() + 1
         T = u.shape[0] // n_seq

@@ -18,12 +18,9 @@ BETA1, BETA2 = 0.9, 0.999
 class TrainingDivergedError(RuntimeError):
     """Training could not recover from repeated filter divergence."""
 
-    def __init__(self, restores, events):
-        self.restores = restores
+    def __init__(self, events):
         self.events = events  # the run's events, ending with the divergence it stopped on
-        super().__init__(
-            f"training aborted after {restores} divergence recoveries"
-        )
+        super().__init__(f"training aborted after {MAX_LR_HALVINGS} divergence recoveries")
 
 
 def _flat(arrays):
@@ -155,7 +152,7 @@ def train(params, build_loss, config):
                 where.update(op="mimo_filter", cell=list(exc.cell))
             if restores == MAX_LR_HALVINGS:
                 events.append({"event": "divergence_abort", **where, "lr": adam.lr})
-                raise TrainingDivergedError(restores, events)
+                raise TrainingDivergedError(events)
             # halve the rate in use, not the snapshot's, so recurring divergences compound
             adam.restore({**last_good, "lr": 0.5 * adam.lr})
             restores += 1

@@ -38,10 +38,7 @@ class PemModel:
         return self.noise.cell(0, 0)
 
     def parameters(self):
-        out = list(self.model.parameters())
-        out.append(("noise.b", self.noise_b))
-        out.append(("noise.a", self.noise_a))
-        return out
+        return [*self.model.parameters(), ("noise.b", self.noise_b), ("noise.a", self.noise_a)]
 
     def _error_nodes(self, tape, u, y):
         """Record r = M(u) - y for (batch, T, 1) arrays, and the noise grid's output Hc(q) r."""

@@ -240,10 +240,9 @@ def nets_of(w1, b1, w2, b2):
 
 def nets_pass(nets, x, g):
     """y, every net's (w1, b1, w2, b2) adjoints in net order, then x's adjoint, of
-    one `mlp` node of the nets for the output adjoint g."""
-    tape = Tape()
-    y = blocks._apply_static_nets(tape, nets, tape.leaf(Parameter(x)))
-    return (y.value, *y.vjp(g))
+    the nets' forward for the output adjoint g."""
+    y, vjp = blocks._nets_forward(nets, x, True)
+    return (y, *vjp(g))
 
 
 @contextlib.contextmanager

@@ -39,6 +39,7 @@ UNUSABLE_DATA = {
     # the norm of y - mean(y) is 0 for three 2.0s, but 2.4e-17 for three 0.1s
     "y_all_2.0": ("t,u,y\n0,1.0,2.0\n1,0.5,2.0\n2,-1.0,2.0\n", CONSTANT_Y),
     "y_all_0.1": ("t,u,y\n0,1.0,0.1\n1,0.5,0.1\n2,-1.0,0.1\n", CONSTANT_Y),
+    "seq_negative": ("seq,t,u,y\n-1,0,1.0,2.0\n-1,1,0.5,1.0\n", "malformed seq column"),
 }
 
 
@@ -471,15 +472,10 @@ class TestEval:
         err = capsys.readouterr().err
         assert "numeric failure" in err and "t=" in err and "batch element 0" in err
 
-    @pytest.mark.parametrize("path, value, reason", [
-        (("blocks", 1, "w1", 0, 0), float("nan"), "block1.w1 holds a non-finite value (nan)"),
-        (("normalization", "u_std", 0), float("nan"),
-         "normalization.u_std holds a non-finite value (nan)"),
-        (("log_sigma_e",), float("inf"), "log_sigma_e holds a non-finite value (inf)"),
-        (("normalization", "u_std", 0), 0.0, "normalization.u_std must be > 0, got 0"),
-    ], ids=["w1_nan", "u_std_nan", "log_sigma_e_inf", "u_std_zero"])
-    def test_model_file_with_unusable_number_is_data_error(
-            self, rng, tmp_path, capsys, path, value, reason):
+    @staticmethod
+    def eval_edited_model(rng, tmp_path, capsys, path, value):
+        """Exit code and captured output of eval of a trained WH model file whose
+        entry at path is set to value."""
         data = tmp_path / "d.csv"
         write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
         out = tmp_path / "run"
@@ -494,10 +490,61 @@ class TestEval:
         # json.dumps writes nan as NaN, which json.load reads back
         (out / "model.json").write_text(json.dumps(doc))
         capsys.readouterr()
-        assert run(["eval", "--model", out / "model.json", "--data", data]) == 3
-        captured = capsys.readouterr()
+        return run(["eval", "--model", out / "model.json", "--data", data]), capsys.readouterr()
+
+    @pytest.mark.parametrize("path, value, reason", [
+        (("blocks", 1, "w1", 0, 0), float("nan"), "block1.w1 holds a non-finite value (nan)"),
+        (("normalization", "u_std", 0), float("nan"),
+         "normalization.u_std holds a non-finite value (nan)"),
+        (("log_sigma_e",), float("inf"), "log_sigma_e holds a non-finite value (inf)"),
+        (("normalization", "u_std", 0), 0.0, "normalization.u_std must be > 0, got 0"),
+        (("normalization", "u_std", 0), 1e-320, "normalization.u_std must be >= 2.22507e-308, "
+                                                 "the smallest normal float, got 9.99989e-321"),
+    ], ids=["w1_nan", "u_std_nan", "log_sigma_e_inf", "u_std_zero", "u_std_subnormal"])
+    def test_model_file_with_unusable_number_is_data_error(
+            self, rng, tmp_path, capsys, path, value, reason):
+        code, captured = self.eval_edited_model(rng, tmp_path, capsys, path, value)
+        assert code == 3
         assert captured.err == f"data error: model file entry {reason}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("key, side", [
+        ("u_mean", "input"), ("u_std", "input"), ("y_mean", "output"), ("y_std", "output"),
+    ])
+    def test_normalization_wider_than_the_model_is_data_error_naming_it(
+            self, rng, tmp_path, capsys, key, side):
+        code, captured = self.eval_edited_model(
+            rng, tmp_path, capsys, ("normalization", key), [1.0, 2.0])
+        assert code == 3
+        assert captured.err == (f"data error: model file entry normalization.{key} has "
+                                f"shape (2,), not the model's {side} width (1,)\n")
+
+    def test_input_overflowing_the_models_normalization_is_data_error(
+            self, rng, tmp_path, capsys, monkeypatch):
+        """eval refuses it, and train refuses it as --test-data before training."""
+        from difftf import cli
+
+        def no_training(*args):
+            raise AssertionError("training ran")
+
+        data, huge = tmp_path / "d.csv", tmp_path / "huge.csv"
+        # an input std below 1 scales 1.7e308 past the largest float
+        write_dataset(data, rng.normal(0, 0.5, 64), y=rng.normal(0, 1, 64))
+        u = rng.normal(0, 0.5, 64)
+        u[5] = 1.7e308
+        write_dataset(huge, u, y=rng.normal(0, 1, 64))
+        train = ["train", "--data", data, "--arch", "fir", "--fir-taps", 3, "--loss", "mse",
+                 "--iterations", 0]
+        assert run(train + ["--out", tmp_path / "run"]) == 0
+        capsys.readouterr()
+        reason = f"data error: {huge}: u column overflows the model's input normalization\n"
+        assert run(["eval", "--model", tmp_path / "run" / "model.json", "--data", huge]) == 3
+        assert capsys.readouterr().err == reason
+        monkeypatch.setattr(cli, "train", no_training)
+        out = tmp_path / "held_out"
+        assert run(train + ["--test-data", huge, "--out", out]) == 3
+        assert capsys.readouterr().err == reason
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc, named", [
         ({"version": 1}, "'blocks'"),
@@ -623,26 +670,29 @@ class TestUsage:
             "generate": ["T", "band", "kind", "out", "realizations", "rms_levels", "seed",
                          "sigma_e", "test_T"],
             "train": ["arch", "data", "fir_taps", "hidden", "init_sigma",
-                      "iterations", "log_every", "loss", "lr", "n_a", "n_b", "n_k",
+                      "iterations", "log_every", "loss", "lr", "n_a", "n_b",
                       "noise_n_a", "noise_n_b", "out", "plateau_patience", "plateau_rtol",
                       "quantizer", "seed", "test_data"],
             "eval": ["bode", "data", "model", "report", "truth"],
             "gradcheck": ["seed"],
         }
-        assert sum(map(len, keys.values())) == 35
+        assert sum(map(len, keys.values())) == 34
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_batch_size_is_rejected(self, rng, tmp_path, capsys, source):
+        """It and the other removed train setting, n_k, even at its old default."""
         data, cfg_path = tmp_path / "d.csv", tmp_path / "cfg.json"
         write_dataset(data, rng.normal(0, 1, 64), y=rng.normal(0, 1, 64))
-        cfg_path.write_text(json.dumps({"batch_size": 2}))
-        extra = {"flag": ["--batch-size", 2], "config": ["--config", cfg_path]}[source]
         out = tmp_path / "r"
-        assert run(["train", "--data", data, "--arch", "fir", "--fir-taps", 3,
-                    "--loss", "mse", "--iterations", 2, *extra, "--out", out]) == 1
-        assert ("unrecognized arguments: --batch-size" if source == "flag"
-                else "unknown config keys: ['batch_size']") in capsys.readouterr().err
-        assert not out.exists()
+        for setting, value in (("batch_size", 2), ("n_k", 0)):
+            flag = "--" + setting.replace("_", "-")
+            cfg_path.write_text(json.dumps({setting: value}))
+            extra = {"flag": [flag, value], "config": ["--config", cfg_path]}[source]
+            assert run(["train", "--data", data, "--arch", "fir", "--fir-taps", 3,
+                        "--loss", "mse", "--iterations", 2, *extra, "--out", out]) == 1
+            assert (f"unrecognized arguments: {flag}" if source == "flag"
+                    else f"unknown config keys: ['{setting}']") in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_required_settings(self):
         assert run(["generate"]) == 1
@@ -672,7 +722,6 @@ class TestUsage:
         ("train-pem", ["--plateau-patience", -1]),
         ("train-pem", ["--log-every", -1]),
         ("gradcheck", ["--seed", -1]),
-        ("train-pem", ["--n-k", -1, "--arch", "fir"]),
     ])
     def test_out_of_range_setting_is_usage_error_before_any_work(
         self, tmp_path, capsys, base, bad

@@ -318,7 +318,8 @@ class TestTrain:
 
         with pytest.raises(TrainingDivergedError) as err:
             train([p], always_diverges, TrainConfig(iterations=10, lr=0.1))
-        assert err.value.restores == 5  # MAX_LR_HALVINGS
+        restores = sum(e["event"] == "divergence_restore" for e in err.value.events)
+        assert restores == 5  # MAX_LR_HALVINGS
         assert "after 5 divergence recoveries" in str(err.value)
         events = err.value.events
         assert [e["event"] for e in events] == ["divergence_restore"] * 5 + ["divergence_abort"]

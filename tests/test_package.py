@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import difftf
+from difftf import blocks
 
 # perfbench's binding test reads the tf_core kernel through the tape module,
 # so tape.py imports filter_rows without using it
@@ -35,6 +36,24 @@ def test_no_module_imports_a_name_it_never_uses():
                 unused.update((path.name, name) for name in bound_names(node)
                               if name not in used)
     assert unused == UNUSED_IMPORTS_KEPT
+
+
+def test_every_block_records_itself_through_block_apply():
+    for cls in blocks._BLOCK_KINDS.values():
+        assert issubclass(cls, blocks.Block), cls
+        own = vars(cls)
+        assert {"forward", "op", "simulate"} <= set(own) and "apply" not in own, cls
+
+
+def test_only_fileio_reads_and_writes_json_files():
+    readers = set()
+    for path in sorted(Path(difftf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(node, ast.Attribute) and node.attr in ("load", "dump")
+               and isinstance(node.value, ast.Name) and node.value.id == "json"
+               for node in ast.walk(tree)):
+            readers.add(path.name)
+    assert readers == {"fileio.py"}
 
 
 # defaulted parameters that no call site gives a value: each should be a constant
